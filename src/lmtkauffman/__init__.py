@@ -16,8 +16,6 @@ from .diagram import (
 from .kauffman import (
     DELTA,
     EmptyDiagramError,
-    SkeinTask,
-    f_framed,
     f_oriented,
     lambda_poly,
     specialized_f,
@@ -34,11 +32,9 @@ from .laurent import (
 from .lmt import check_reversal_writhe, lmt_rhs, verify_all, verify_sublink_formula
 from .report import VerificationReport
 from .transfer import (
-    OrientedFramedValue,
     check_skein_identity,
     check_specialization_identity,
     g_tau,
-    g_value,
     orientations,
 )
 
@@ -56,10 +52,8 @@ __all__ = [
     "LaurentAZ",
     "NotDivisibleError",
     "OrientationMask",
-    "OrientedFramedValue",
     "PDSyntaxError",
     "PolySyntaxError",
-    "SkeinTask",
     "SpecializationError",
     "SublinkMask",
     "VerificationReport",
@@ -67,11 +61,9 @@ __all__ = [
     "check_reversal_writhe",
     "check_skein_identity",
     "check_specialization_identity",
-    "f_framed",
     "f_oriented",
     "format_poly",
     "g_tau",
-    "g_value",
     "lambda_poly",
     "lmt_rhs",
     "orientations",

@@ -15,8 +15,8 @@ import sys
 from . import corpus
 from .braid import random_closure
 from .diagram import Diagram, DiagramError, InternalInvariantError, parse_pd
-from .kauffman import EmptyDiagramError, f_oriented, lambda_poly, specialized_f
-from .laurent import PolySyntaxError, SpecializationError
+from .kauffman import EmptyDiagramError, lambda_poly
+from .laurent import LaurentAZ, PolySyntaxError, SpecializationError
 from .lmt import lmt_rhs, verify_all
 from .transfer import g_tau
 
@@ -53,11 +53,14 @@ def cmd_compute(args) -> int:
     lam = lambda_poly(d)
     print(f"lambda={lam}")
     if args.oriented:
-        print(f"writhe={d.writhe(mask)}")
-        print(f"f={f_oriented(d, mask)}")
+        # f_oriented from the lambda above, so the skein recursion runs once
+        w = d.writhe(mask)
+        f = LaurentAZ.monomial(1, -w) * lam
+        print(f"writhe={w}")
+        print(f"f={f}")
     if args.specialize:
         if args.oriented:
-            print(f"f_specialized={specialized_f(d, mask)}")
+            print(f"f_specialized={f.substitute_z()}")
         else:
             print(f"lambda_specialized={lam.substitute_z()}")
     return 0

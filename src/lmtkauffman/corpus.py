@@ -54,10 +54,6 @@ CORPUS: tuple[CorpusEntry, ...] = (
 )
 
 
-def names() -> tuple[str, ...]:
-    return tuple(e.name for e in CORPUS)
-
-
 def get(name: str) -> CorpusEntry:
     for e in CORPUS:
         if e.name == name:

@@ -21,6 +21,7 @@ The text format accepted by :func:`parse_pd` has an optional first line
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -143,13 +144,6 @@ class Diagram:
         except KeyError:
             raise InvalidDiagramError(f"no edge {edge}") from None
 
-    def edge_out_end(self, edge: int) -> tuple[int, int]:
-        """(crossing index, slot) where the edge leaves a crossing."""
-        try:
-            return self._out_end[edge]
-        except KeyError:
-            raise InvalidDiagramError(f"no edge {edge}") from None
-
     def next_edge(self, edge: int) -> int:
         """The edge that continues this one through its entry crossing."""
         i, s = self.edge_in_end(edge)
@@ -175,9 +169,6 @@ class Diagram:
                 x = self.next_edge(x)
             comps.append(tuple(cyc))
         return tuple(comps)
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return self.strand_components
 
     @property
     def num_components(self) -> int:
@@ -222,17 +213,17 @@ class Diagram:
         if not 0 <= ci < len(self.crossings):
             raise InvalidDiagramError(f"crossing not found: {ci}")
         self._check_mask(mask, "orientation mask")
+        return self._sign(ci, mask)
+
+    def _sign(self, ci: int, mask: int) -> int:
+        # crossing_sign unchecked: one reversed strand flips the sign, two keep it
         u, o = self._crossing_comps[ci]
         sign = TAG_SIGN[self.crossings[ci].tag]
-        if (mask >> u) & 1:
-            sign = -sign
-        if (mask >> o) & 1:
-            sign = -sign
-        return sign
+        return -sign if ((mask >> u) ^ (mask >> o)) & 1 else sign
 
     def writhe(self, mask: OrientationMask = 0) -> int:
         self._check_mask(mask, "orientation mask")
-        return sum(self.crossing_sign(i, mask) for i in range(len(self.crossings)))
+        return sum(self._sign(i, mask) for i in range(len(self.crossings)))
 
     def self_writhe(self) -> int:
         """Writhe counting only crossings of a component with itself.
@@ -261,7 +252,7 @@ class Diagram:
             if u == o:
                 continue
             if ((submask >> u) & 1) != ((submask >> o) & 1):
-                total += self.crossing_sign(i, mask)
+                total += self._sign(i, mask)
         if total % 2:
             raise InternalInvariantError(
                 "odd crossing count between a sublink and its complement"
@@ -520,7 +511,9 @@ def parse_pd(text: str) -> Diagram:
     """Parse diagram text into a Diagram.
 
     Edge ids in the text may be any distinct positive integers; they are
-    renumbered to 1..2n preserving order.
+    renumbered to 1..2n preserving order.  Two distinct components of a
+    planar diagram cross an even number of times (Jordan curve theorem),
+    so an odd count between any pair is rejected.
     """
     loops = 0
     records: list[Crossing] = []
@@ -555,7 +548,15 @@ def parse_pd(text: str) -> Diagram:
     normalized = tuple(
         Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in records
     )
-    return Diagram(normalized, loops)
+    d = Diagram(normalized, loops)
+    between = Counter((min(u, o), max(u, o)) for u, o in d._crossing_comps if u != o)
+    for (u, o), k in between.items():
+        if k % 2:
+            raise InvalidDiagramError(
+                f"components {u} and {o} cross an odd number of times ({k}), "
+                "which no planar diagram allows"
+            )
+    return d
 
 
 def to_pd_text(d: Diagram) -> str:

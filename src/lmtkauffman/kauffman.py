@@ -30,7 +30,6 @@ with no cache; results are identical either way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .diagram import Diagram
@@ -44,27 +43,6 @@ _Z = LaurentAZ({(0, 1): 1})
 
 class EmptyDiagramError(ValueError):
     """The invariant is defined for nonempty links only."""
-
-
-@dataclass(frozen=True)
-class SkeinTask:
-    """A diagram bundled with the traversal choices used to drive it.
-
-    The polynomial does not depend on these choices; they only steer
-    which skein tree gets expanded.
-    """
-
-    diagram: Diagram
-    component_order: tuple[int, ...] | None = None
-    basepoints: tuple[int, ...] | None = None
-
-    def run(self, memo: dict | None = None) -> LaurentAZ:
-        return lambda_poly(
-            self.diagram,
-            component_order=self.component_order,
-            basepoints=self.basepoints,
-            memo=memo,
-        )
 
 
 def first_defect(
@@ -120,11 +98,6 @@ def _lambda(d, order, bps, memo) -> LaurentAZ:
     if memo is not None:
         memo[key] = val
     return val
-
-
-def f_framed(d: Diagram, **kwargs) -> LaurentAZ:
-    """Alias of lambda_poly: the invariant of the framed link itself."""
-    return lambda_poly(d, **kwargs)
 
 
 def f_oriented(d: Diagram, mask: int = 0, **kwargs) -> LaurentAZ:

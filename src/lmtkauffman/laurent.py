@@ -1,9 +1,11 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
-Two sparse representations: ``LaurentA`` for one variable ``a`` and
-``LaurentAZ`` for two variables ``a`` and ``z``.  Coefficients are Python
-ints, so nothing here can overflow.  Both classes keep a canonical term
-dict (no zero coefficients), which makes equality and hashing structural.
+One sparse representation, ``LaurentAZ``, keyed by ``(a exponent, z
+exponent)``, holds all of the arithmetic.  ``LaurentA`` is its face for
+polynomials in ``a`` alone: it stores terms with z exponent 0 and speaks
+of a exponents only.  Coefficients are Python ints, so nothing here can
+overflow.  The term dict is canonical (no zero coefficients), which makes
+equality and hashing structural, also between the two classes.
 
 The text form used by :func:`parse_poly` and :func:`format_poly` is a sum
 of signed monomials ``c*a^i*z^j`` with optional parts, for example
@@ -14,7 +16,7 @@ an equal polynomial.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class NotDivisibleError(ArithmeticError):
@@ -33,156 +35,27 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
-def _cleaned(terms) -> dict:
-    return {e: c for e, c in terms.items() if c}
+def _coerce(other):
+    """other as a polynomial, an int as a constant LaurentA, else None."""
+    if isinstance(other, LaurentAZ):
+        return other
+    if isinstance(other, int):
+        return LaurentA._from_pairs({(0, 0): other})
+    return None
 
 
-class LaurentA:
-    """A Laurent polynomial in ``a`` with integer coefficients.
-
-    >>> p = LaurentA({1: 1, -1: 1})
-    >>> str(p * p)
-    'a^-2 + 2 + a^2'
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        object.__setattr__(self, "_terms", _cleaned(terms or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentA is immutable")
-
-    @classmethod
-    def zero(cls) -> "LaurentA":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentA":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, a_exp: int = 0) -> "LaurentA":
-        return cls({a_exp: coeff})
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def coeff(self, a_exp: int) -> int:
-        return self._terms.get(a_exp, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentA({0: other})
-        if not isinstance(other, LaurentA):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "LaurentA":
-        return LaurentA({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other) -> "LaurentA":
-        if isinstance(other, int):
-            other = LaurentA({0: other})
-        if not isinstance(other, LaurentA):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentA(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentA":
-        return self + (-other if isinstance(other, LaurentA) else -LaurentA({0: other}))
-
-    def __rsub__(self, other) -> "LaurentA":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentA":
-        if isinstance(other, int):
-            other = LaurentA({0: other})
-        if not isinstance(other, LaurentA):
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentA(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentA":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = LaurentA.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def invert_a(self) -> "LaurentA":
-        """Substitute a -> a^-1."""
-        return LaurentA({-e: c for e, c in self._terms.items()})
-
-    def abs_coeff_sum(self) -> int:
-        return sum(abs(c) for c in self._terms.values())
-
-    def divide_exact(self, other: "LaurentA") -> "LaurentA":
-        """Return q with self == q * other, or raise NotDivisibleError."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentA.zero()
-        lo = min(self._terms) - min(other._terms)
-        hi = max(self._terms) - max(other._terms)
-        if lo > hi:
-            raise NotDivisibleError("no exact quotient")
-        rem = dict(self._terms)
-        quot: dict = {}
-        lead = max(other._terms)
-        lead_c = other._terms[lead]
-        while rem:
-            e = max(rem)
-            q_e = e - lead
-            q_c, r = divmod(rem[e], lead_c)
-            if r or not lo <= q_e <= hi:
-                raise NotDivisibleError("no exact quotient")
-            quot[q_e] = q_c
-            for oe, oc in other._terms.items():
-                k = q_e + oe
-                v = rem.get(k, 0) - q_c * oc
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return LaurentA(quot)
-
-    def as_az(self) -> "LaurentAZ":
-        return LaurentAZ({(e, 0): c for e, c in self._terms.items()})
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-    def __repr__(self) -> str:
-        return f"LaurentA({self._terms!r})"
+def _result(p, q) -> type:
+    """The class of a result: LaurentA only when both operands are."""
+    return type(p) if isinstance(q, LaurentA) else LaurentAZ
 
 
 class LaurentAZ:
     """A Laurent polynomial in ``a`` and ``z`` with integer coefficients.
 
-    Terms are keyed by ``(a_exp, z_exp)``.
+    Terms are keyed by ``(a_exp, z_exp)``.  This class holds all of the
+    arithmetic; :class:`LaurentA` is its one-variable face.  Operands may
+    be ints, LaurentA or LaurentAZ in any mix, and a result is a LaurentAZ
+    as soon as one operand is.
 
     >>> delta = LaurentAZ({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
     >>> str(delta)
@@ -194,18 +67,25 @@ class LaurentAZ:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, int] | None = None):
-        object.__setattr__(self, "_terms", _cleaned(terms or {}))
+        object.__setattr__(self, "_terms", {e: c for e, c in (terms or {}).items() if c})
+
+    @classmethod
+    def _from_pairs(cls, terms: dict) -> "LaurentAZ":
+        """An instance of cls over a dict keyed by (a_exp, z_exp)."""
+        p = object.__new__(cls)
+        LaurentAZ.__init__(p, terms)
+        return p
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentAZ is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls) -> "LaurentAZ":
-        return cls()
+        return cls._from_pairs({})
 
     @classmethod
     def one(cls) -> "LaurentAZ":
-        return cls({(0, 0): 1})
+        return cls._from_pairs({(0, 0): 1})
 
     @classmethod
     def monomial(cls, coeff: int, a_exp: int = 0, z_exp: int = 0) -> "LaurentAZ":
@@ -222,9 +102,8 @@ class LaurentAZ:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentAZ({(0, 0): other})
-        if not isinstance(other, LaurentAZ):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         return self._terms == other._terms
 
@@ -232,46 +111,45 @@ class LaurentAZ:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentAZ":
-        return LaurentAZ({e: -c for e, c in self._terms.items()})
+        return self._from_pairs({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other) -> "LaurentAZ":
-        if isinstance(other, int):
-            other = LaurentAZ({(0, 0): other})
-        if not isinstance(other, LaurentAZ):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentAZ(out)
+        return _result(self, other)._from_pairs(out)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentAZ":
-        if isinstance(other, int):
-            other = LaurentAZ({(0, 0): other})
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "LaurentAZ":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentAZ":
-        if isinstance(other, int):
-            other = LaurentAZ({(0, 0): other})
-        if not isinstance(other, LaurentAZ):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         out: dict = {}
         for (a1, z1), c1 in self._terms.items():
             for (a2, z2), c2 in other._terms.items():
                 e = (a1 + a2, z1 + z2)
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentAZ(out)
+        return _result(self, other)._from_pairs(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentAZ":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = LaurentAZ.one()
+        out = self.one()
         base = self
         while n:
             if n & 1:
@@ -282,7 +160,10 @@ class LaurentAZ:
 
     def invert_a(self) -> "LaurentAZ":
         """Substitute a -> a^-1, leaving z alone."""
-        return LaurentAZ({(-a, z): c for (a, z), c in self._terms.items()})
+        return self._from_pairs({(-a, z): c for (a, z), c in self._terms.items()})
+
+    def abs_coeff_sum(self) -> int:
+        return sum(abs(c) for c in self._terms.values())
 
     def divide_exact(self, other: "LaurentAZ") -> "LaurentAZ":
         """Return q with self == q * other, or raise NotDivisibleError.
@@ -293,10 +174,11 @@ class LaurentAZ:
         the loop and turns "not divisible" into a definite failure
         instead of a runaway descent.
         """
+        cls = _result(self, other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
-            return LaurentAZ.zero()
+            return cls.zero()
         box = []
         for axis in (0, 1):
             lo = min(e[axis] for e in self._terms) - min(e[axis] for e in other._terms)
@@ -322,7 +204,7 @@ class LaurentAZ:
                     rem[k] = v
                 else:
                     rem.pop(k, None)
-        return LaurentAZ(quot)
+        return cls._from_pairs(quot)
 
     def substitute_z(self) -> LaurentA:
         """Evaluate at z = -a - a^-1 and return the result in a alone.
@@ -354,9 +236,6 @@ class LaurentAZ:
                 raise SpecializationError("specialization not Laurent") from None
         return acc
 
-    def abs_coeff_sum(self) -> int:
-        return sum(abs(c) for c in self._terms.values())
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -364,21 +243,51 @@ class LaurentAZ:
         return f"LaurentAZ({self._terms!r})"
 
 
-def _sorted_terms(p) -> Iterator[tuple]:
-    if isinstance(p, LaurentA):
-        for e in sorted(p.terms):
-            yield (e, 0), p.coeff(e)
-    elif isinstance(p, LaurentAZ):
-        for e in sorted(p.terms):
-            yield e, p.terms[e]
-    else:
-        raise TypeError(f"cannot format {type(p).__name__}")
+class LaurentA(LaurentAZ):
+    """A Laurent polynomial in ``a`` with integer coefficients.
+
+    The one-variable face of :class:`LaurentAZ`: terms are stored with z
+    exponent 0, and ``terms``, ``coeff`` and ``monomial`` speak of the a
+    exponent alone.  Results stay LaurentA while every operand is a
+    LaurentA or an int.
+
+    >>> p = LaurentA({1: 1, -1: 1})
+    >>> str(p * p)
+    'a^-2 + 2 + a^2'
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        super().__init__({(e, 0): c for e, c in (terms or {}).items()})
+
+    # Own entries in the class dict: bench/tracing.py wraps each class's operators.
+    __mul__ = __rmul__ = LaurentAZ.__mul__
+    __add__ = __radd__ = LaurentAZ.__add__
+    __pow__ = LaurentAZ.__pow__
+
+    @classmethod
+    def monomial(cls, coeff: int, a_exp: int = 0) -> "LaurentA":
+        return cls({a_exp: coeff})
+
+    @property
+    def terms(self) -> dict:
+        return {a: c for (a, _), c in self._terms.items()}
+
+    def coeff(self, a_exp: int) -> int:
+        return self._terms.get((a_exp, 0), 0)
+
+    def as_az(self) -> LaurentAZ:
+        return LaurentAZ._from_pairs(self._terms)
+
+    def __repr__(self) -> str:
+        return f"LaurentA({self.terms!r})"
 
 
 def format_poly(p) -> str:
     """Render a LaurentA or LaurentAZ as signed monomial text."""
     pieces = []
-    for (a_exp, z_exp), c in _sorted_terms(p):
+    for (a_exp, z_exp), c in sorted(p._terms.items()):
         factors = []
         if a_exp:
             factors.append("a" if a_exp == 1 else f"a^{a_exp}")

@@ -15,33 +15,13 @@ identities that are checked here exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import Diagram
 from .kauffman import lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
 
-# Specialization of z and of one split circle.
+# Specialization of z.
 NEG_A_PAIR = LaurentA({1: -1, -1: -1})
-CIRCLE_SUM = LaurentA({0: -2})
-
-
-@dataclass(frozen=True)
-class OrientedFramedValue:
-    """Component count and total framing of one oriented framed link."""
-
-    components: int
-    framing: int
-
-    def __post_init__(self):
-        if self.components < 1:
-            raise ValueError("a link has at least one component")
-
-
-def g_value(v: OrientedFramedValue) -> LaurentA:
-    """The weight (-1)^components * a^framing."""
-    return LaurentA.monomial((-1) ** v.components, v.framing)
 
 
 def orientations(d: Diagram) -> range:
@@ -50,7 +30,7 @@ def orientations(d: Diagram) -> range:
 
 
 def g_tau(d: Diagram) -> LaurentA:
-    """Sum of g_value over every orientation, as one polynomial.
+    """Sum of (-1)^com * a^writhe over every orientation, as one polynomial.
 
     The writhe under a mask is the framing of that oriented diagram, so
     the sum collects (-1)^com * a^writhe over all masks.

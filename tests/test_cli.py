@@ -1,5 +1,7 @@
+from lmtkauffman import cli, kauffman
 from lmtkauffman.cli import main
 from lmtkauffman.corpus import CORPUS, get
+from lmtkauffman.kauffman import lambda_poly
 
 HOPF = "Xr 1 3 4 2\nXr 3 1 2 4\n"
 
@@ -91,6 +93,29 @@ def test_malformed_diagram(tmp_path, capsys):
     code, out, err = run(capsys, "compute", path)
     assert code == 1
     assert "error:" in err
+
+
+def test_non_planar_diagram_is_invalid_input(tmp_path, capsys):
+    path = write(tmp_path, "Xr 1 2 1 2\n")
+    for verb in ("verify", "lmt", "compute"):
+        code, out, err = run(capsys, verb, path)
+        assert code == 1
+        assert err.startswith("error:") and "internal error" not in err
+
+
+def test_compute_runs_the_skein_recursion_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(d, **kwargs):
+        calls.append(d)
+        return lambda_poly(d, **kwargs)
+
+    monkeypatch.setattr(kauffman, "lambda_poly", counted)
+    monkeypatch.setattr(cli, "lambda_poly", counted)
+    path = write(tmp_path, HOPF)
+    code, _, _ = run(capsys, "compute", path, "--oriented", "--specialize")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_file(tmp_path, capsys):

@@ -71,6 +71,13 @@ def test_edge_occurrence_validation():
         Diagram((), -1)
 
 
+def test_odd_crossings_between_two_components_rejected():
+    # two components that cross once: not a planar diagram
+    with pytest.raises(InvalidDiagramError, match="odd number"):
+        parse_pd("Xr 1 2 1 2\n")
+    assert parse_pd(HOPF_POS).num_components == 2
+
+
 def test_components_of_clasp():
     d = parse_pd(HOPF_POS)
     assert d.strand_components == ((1, 4), (2, 3))

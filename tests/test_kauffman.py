@@ -9,8 +9,6 @@ from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import (
     DELTA,
     EmptyDiagramError,
-    SkeinTask,
-    f_framed,
     f_oriented,
     first_defect,
     lambda_poly,
@@ -105,14 +103,6 @@ def test_component_order_and_basepoints_do_not_matter():
         checked += 1
 
 
-def test_skein_task_runs_with_choices():
-    d = get("whitehead").diagram()
-    base = SkeinTask(d).run()
-    assert SkeinTask(d, component_order=(1, 0)).run() == base
-    bps = tuple(c[-1] for c in d.strand_components)
-    assert SkeinTask(d, basepoints=bps).run() == base
-
-
 def test_memo_and_no_memo_agree(monkeypatch):
     rng = random.Random(24)
     ds = [random_closure(rng, 6) for _ in range(15)]
@@ -142,7 +132,6 @@ def test_first_defect_depends_on_basepoint():
 
 def test_oriented_rescaling():
     d = get("hopf_pos").diagram()
-    assert f_framed(d) == lambda_poly(d)
     assert f_oriented(d) == LaurentAZ.monomial(1, -2) * lambda_poly(d)
     # reversing one component changes writhe, hence the rescaling
     assert f_oriented(d, 0b01) == LaurentAZ.monomial(1, 2) * lambda_poly(d)

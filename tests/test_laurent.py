@@ -205,3 +205,17 @@ def test_immutability():
     t = p.terms
     t[99] = 1
     assert p == LaurentA({1: 1})
+
+
+def test_one_variable_face_and_mixed_operands():
+    p = LaurentA({1: 1, -1: 1})
+    z = LaurentAZ.monomial(1, 0, 1)
+    assert p.terms == {1: 1, -1: 1} and p.coeff(1) == 1
+    assert repr(p) == "LaurentA({1: 1, -1: 1})"
+    for q in (p * p, p + 1, 1 - p, 2 * p, p ** 3, -p, p.invert_a(), (p * p).divide_exact(p)):
+        assert type(q) is LaurentA
+    for q in (p * z, z * p, p + z, z - p, (p * z).divide_exact(p)):
+        assert type(q) is LaurentAZ
+    assert p * z == LaurentAZ({(1, 1): 1, (-1, 1): 1})
+    assert p == p.as_az() and hash(p) == hash(p.as_az())
+    assert LaurentA.one() == LaurentAZ.one() == 1

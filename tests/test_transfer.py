@@ -1,28 +1,16 @@
 import random
 
-import pytest
-
 from lmtkauffman.braid import random_closure
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.transfer import (
-    OrientedFramedValue,
     check_skein_identity,
     check_specialization_identity,
     g_tau,
-    g_value,
     orientations,
 )
-
-
-def test_g_value():
-    assert g_value(OrientedFramedValue(1, 0)) == LaurentA({0: -1})
-    assert g_value(OrientedFramedValue(2, 3)) == LaurentA({3: 1})
-    assert g_value(OrientedFramedValue(3, -2)) == LaurentA({-2: -1})
-    with pytest.raises(ValueError):
-        OrientedFramedValue(0, 0)
 
 
 def test_orientations_enumerates_all_masks():
