@@ -259,6 +259,22 @@ class Diagram:
             )
         return total // 2
 
+    def check_even_crossings(self) -> None:
+        """Reject a diagram in which two components cross an odd number of times.
+
+        Two distinct components of a planar diagram cross an even number
+        of times (Jordan curve theorem).  This is a necessary condition
+        for planarity only, checked where diagrams enter the package
+        rather than on every diagram the recursion builds.
+        """
+        between = Counter((min(u, o), max(u, o)) for u, o in self._crossing_comps if u != o)
+        for (u, o), k in between.items():
+            if k % 2:
+                raise InvalidDiagramError(
+                    f"components {u} and {o} cross an odd number of times ({k}), "
+                    "which no planar diagram allows"
+                )
+
     # -- traversal --------------------------------------------------------
 
     def passages(
@@ -378,8 +394,9 @@ class Diagram:
         reversing some strands share the code: the clasp and its mirror
         collide this way.  Every quantity the skein recursion consumes
         (signs, roles, smoothing reconnections) is a function of the
-        stream, so equal codes always mean equal polynomials and the
-        code is safe as a cache key.
+        stream, so equal codes always mean equal polynomials.  The
+        search grows factorially with the number of components, so the
+        skein memo keys by crossing records instead.
         """
         code = self.__dict__.get("_code")
         if code is None:
@@ -511,9 +528,9 @@ def parse_pd(text: str) -> Diagram:
     """Parse diagram text into a Diagram.
 
     Edge ids in the text may be any distinct positive integers; they are
-    renumbered to 1..2n preserving order.  Two distinct components of a
-    planar diagram cross an even number of times (Jordan curve theorem),
-    so an odd count between any pair is rejected.
+    renumbered to 1..2n preserving order.  Diagrams in which two
+    components cross an odd number of times are rejected, see
+    :meth:`Diagram.check_even_crossings`.
     """
     loops = 0
     records: list[Crossing] = []
@@ -549,13 +566,7 @@ def parse_pd(text: str) -> Diagram:
         Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in records
     )
     d = Diagram(normalized, loops)
-    between = Counter((min(u, o), max(u, o)) for u, o in d._crossing_comps if u != o)
-    for (u, o), k in between.items():
-        if k % 2:
-            raise InvalidDiagramError(
-                f"components {u} and {o} cross an odd number of times ({k}), "
-                "which no planar diagram allows"
-            )
+    d.check_even_crossings()
     return d
 
 

@@ -18,13 +18,21 @@ is resolved with the switch rule above.  Switching never touches the
 strand structure, so the defect count drops by exactly one, and each
 smoothing removes a crossing, which makes the recursion finite.
 
+Curls are stripped before any defect is looked for: a crossing whose
+two adjacent slots s, s+1 hold the same edge is a curl, worth a or a^-1
+by its tag times the value of the smoothing that untwists it (``B`` for
+even s, ``A`` for odd s; the other one would split off a circle).
+
 ``f_oriented`` rescales by a^(-writhe), which makes the value stable
 under curls as well, and ``specialized_f`` evaluates that at
 z = -a - a^-1.
 
 Intermediate results are cached per invocation under the diagram's
-canonical code.  Set the environment variable LMT_NO_MEMO=1 to compute
-with no cache; results are identical either way.
+crossing records and free-loop count.  Smoothings renumber their result
+deterministically and switches keep every label, so equal records mean
+an equal diagram and the key costs no search.  Set the environment
+variable LMT_NO_MEMO=1 to compute with no cache; results are identical
+either way.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import os
 from typing import Mapping, Sequence
 
-from .diagram import Diagram
+from .diagram import TAG_SIGN, Diagram
 from .laurent import LaurentA, LaurentAZ
 
 # Value of one extra split circle.
@@ -61,6 +69,19 @@ def first_defect(
     return None
 
 
+def _find_curl(d: Diagram) -> tuple[int, str] | None:
+    """A curl as (crossing, untwisting smoothing), or None if there is none.
+
+    A curl is an edge joining two adjacent slots of one crossing.
+    """
+    for ci, c in enumerate(d.crossings):
+        e = c.edges
+        for s in range(4):
+            if e[s] == e[(s + 1) % 4]:
+                return ci, "B" if s % 2 == 0 else "A"
+    return None
+
+
 def lambda_poly(
     d: Diagram,
     *,
@@ -72,10 +93,13 @@ def lambda_poly(
 
     component_order and basepoints pick the traversal; any choice gives
     the same polynomial.  memo, if given, is shared across calls, which
-    is safe for exactly that reason.
+    is safe for exactly that reason.  A diagram in which two components
+    cross an odd number of times is not planar and has no such value;
+    it raises InvalidDiagramError.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
+    d.check_even_crossings()
     if memo is None and os.environ.get("LMT_NO_MEMO") != "1":
         memo = {}
     return _lambda(d, component_order, basepoints, memo)
@@ -83,18 +107,24 @@ def lambda_poly(
 
 def _lambda(d, order, bps, memo) -> LaurentAZ:
     if memo is not None:
-        key = d.canonical_code()
+        key = (d.crossings, d.free_loops)
         hit = memo.get(key)
         if hit is not None:
             return hit
-    x = first_defect(d, order, bps)
-    if x is None:
-        val = LaurentAZ.monomial(1, d.self_writhe()) * DELTA ** (d.num_components - 1)
+    curl = _find_curl(d)
+    if curl is not None:
+        ci, which = curl
+        sign = TAG_SIGN[d.crossings[ci].tag]
+        val = LaurentAZ.monomial(1, sign) * _lambda(d.smooth(ci, which), None, None, memo)
     else:
-        val = -_lambda(d.switch(x), order, bps, memo) + _Z * (
-            _lambda(d.smooth(x, "A"), None, None, memo)
-            + _lambda(d.smooth(x, "B"), None, None, memo)
-        )
+        x = first_defect(d, order, bps)
+        if x is None:
+            val = LaurentAZ.monomial(1, d.self_writhe()) * DELTA ** (d.num_components - 1)
+        else:
+            val = -_lambda(d.switch(x), order, bps, memo) + _Z * (
+                _lambda(d.smooth(x, "A"), None, None, memo)
+                + _lambda(d.smooth(x, "B"), None, None, memo)
+            )
     if memo is not None:
         memo[key] = val
     return val

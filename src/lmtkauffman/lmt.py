@@ -19,7 +19,7 @@ from .diagram import Diagram, InternalInvariantError
 from .kauffman import specialized_f
 from .laurent import LaurentA
 from .report import VerificationReport, compare
-from .transfer import check_skein_identity, check_specialization_identity
+from .transfer import check_skein_identity, check_specialization_identity, g_tau
 
 
 def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
@@ -58,14 +58,13 @@ def verify_sublink_formula(
 
 
 def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[VerificationReport]:
-    """Every check this package knows, sharing one skein cache."""
+    """Every check this package knows, sharing one skein cache and one g_tau(d)."""
     memo: dict = {}
-    reports = [
-        verify_sublink_formula(d, mask, memo=memo, subject=subject),
-        check_specialization_identity(d, memo=memo, subject=subject),
-    ]
+    reports = [verify_sublink_formula(d, mask, memo=memo, subject=subject)]
+    g = g_tau(d)
+    reports.append(check_specialization_identity(d, memo=memo, subject=subject, g=g))
     for ci in range(len(d.crossings)):
-        reports.append(check_skein_identity(d, ci, subject=subject))
+        reports.append(check_skein_identity(d, ci, subject=subject, g=g))
     for s in range(1 << d.num_components):
         reports.append(check_reversal_writhe(d, mask, s, subject=subject))
     return reports

@@ -44,17 +44,26 @@ def g_tau(d: Diagram) -> LaurentA:
     return LaurentA(terms)
 
 
-def check_skein_identity(d: Diagram, ci: int, subject: str = "") -> VerificationReport:
-    """Check the switch/smooth relation of g_tau at one crossing."""
-    lhs = g_tau(d) + g_tau(d.switch(ci))
+def check_skein_identity(
+    d: Diagram, ci: int, subject: str = "", g: LaurentA | None = None
+) -> VerificationReport:
+    """Check the switch/smooth relation of g_tau at one crossing.
+
+    g, if given, is g_tau(d), so that a caller checking every crossing
+    sums the diagram's orientations once.
+    """
+    lhs = (g_tau(d) if g is None else g) + g_tau(d.switch(ci))
     rhs = NEG_A_PAIR * (g_tau(d.smooth(ci, "A")) + g_tau(d.smooth(ci, "B")))
     return compare(subject, f"orientation-sum-skein[{ci}]", lhs, rhs)
 
 
 def check_specialization_identity(
-    d: Diagram, memo: dict | None = None, subject: str = ""
+    d: Diagram, memo: dict | None = None, subject: str = "", g: LaurentA | None = None
 ) -> VerificationReport:
-    """Check g_tau against -2 times the specialized framed polynomial."""
-    lhs = g_tau(d)
+    """Check g_tau against -2 times the specialized framed polynomial.
+
+    g, if given, is g_tau(d).
+    """
+    lhs = g_tau(d) if g is None else g
     rhs = -2 * lambda_poly(d, memo=memo).substitute_z()
     return compare(subject, "orientation-sum-vs-engine", lhs, rhs)

@@ -264,8 +264,9 @@ def test_canonical_code_separates_basic_diagrams():
 
 
 def test_colliding_codes_carry_equal_polynomials():
-    # the cache key identifies the two clasps, so their framed values
-    # must genuinely agree even when one diagram hits the other's cache
+    # the code identifies the two clasps, so their framed values must
+    # genuinely agree; a memo shared between them stays transparent even
+    # though the skein memo keys by crossing records, not by this code
     from lmtkauffman.kauffman import lambda_poly
 
     d1 = parse_pd(HOPF_POS)

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from lmtkauffman.braid import braid_closure, random_closure
-from lmtkauffman.corpus import get
-from lmtkauffman.diagram import Diagram, parse_pd
+from lmtkauffman.corpus import CORPUS, get
+from lmtkauffman.diagram import Crossing, Diagram, InvalidDiagramError, parse_pd
 from lmtkauffman.kauffman import (
     DELTA,
     EmptyDiagramError,
@@ -15,6 +15,8 @@ from lmtkauffman.kauffman import (
     specialized_f,
 )
 from lmtkauffman.laurent import LaurentA, LaurentAZ
+from lmtkauffman.lmt import verify_all
+from lmtkauffman.moves import add_kink
 
 Z = LaurentAZ.monomial(1, 0, 1)
 
@@ -146,3 +148,51 @@ def test_specialized_f_orientation_dependence():
     d = get("hopf_pos").diagram()
     assert specialized_f(d) == LaurentA({0: -1, -4: -1})
     assert specialized_f(d, 0b01) == LaurentA({0: -1, 4: -1})
+
+
+def _plain_lambda(d):
+    # the defining recursion with no memo and no curl rule: the reference
+    # the memoized, curl-stripping engine must agree with
+    x = first_defect(d)
+    if x is None:
+        return LaurentAZ.monomial(1, d.self_writhe()) * DELTA ** (d.num_components - 1)
+    return -_plain_lambda(d.switch(x)) + Z * (
+        _plain_lambda(d.smooth(x, "A")) + _plain_lambda(d.smooth(x, "B"))
+    )
+
+
+def test_engine_matches_plain_recursion():
+    rng = random.Random(25)
+    diagrams = [e.diagram() for e in CORPUS]
+    diagrams += [random_closure(rng, 7) for _ in range(40)]
+    for d in diagrams:
+        assert lambda_poly(d) == _plain_lambda(d), d
+
+
+def test_curls_strip_to_a_power_of_a():
+    rng = random.Random(26)
+    signs = [True] * 6 + [False] * 4
+    rng.shuffle(signs)
+    net = sum(1 if s else -1 for s in signs)
+    d = get("trefoil_right").diagram()
+    base = lambda_poly(d)
+    circle = Diagram((), 1)
+    for positive in signs:
+        d = add_kink(d, rng.randint(1, 2 * len(d.crossings)), positive)
+        if circle.free_loops:
+            circle = add_kink(circle, None, positive)
+        else:
+            circle = add_kink(circle, rng.randint(1, 2 * len(circle.crossings)), positive)
+    assert len(d.crossings) == 13 and len(circle.crossings) == 10
+    assert lambda_poly(d) == LaurentAZ.monomial(1, net) * base
+    assert lambda_poly(circle) == LaurentAZ.monomial(1, net)
+
+
+def test_odd_crossings_rejected_at_engine_entry():
+    # built directly, so parse_pd never sees it: two components crossing once
+    d = Diagram((Crossing((1, 2, 1, 2), "r"),))
+    for order in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidDiagramError, match="odd number"):
+            lambda_poly(d, component_order=order)
+    with pytest.raises(InvalidDiagramError, match="odd number"):
+        verify_all(d)
