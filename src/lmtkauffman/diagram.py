@@ -21,7 +21,6 @@ The text format accepted by :func:`parse_pd` has an optional first line
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -221,9 +220,46 @@ class Diagram:
         sign = TAG_SIGN[self.crossings[ci].tag]
         return -sign if ((mask >> u) ^ (mask >> o)) & 1 else sign
 
-    def writhe(self, mask: OrientationMask = 0) -> int:
+    @cached_property
+    def _sign_table(self) -> tuple[int, dict[tuple[int, int], int]]:
+        # (self-writhe, {(u, o): C} for each pair u < o of distinct
+        # components that cross), C being the sum of the tag signs of
+        # their crossings: twice their linking number under the reference
+        # orientation, with the parity of their crossing count
+        self_w = 0
+        between: dict[tuple[int, int], int] = {}
+        for c, (u, o) in zip(self.crossings, self._crossing_comps):
+            sign = TAG_SIGN[c.tag]
+            if u == o:
+                self_w += sign
+            else:
+                key = (u, o) if u < o else (o, u)
+                between[key] = between.get(key, 0) + sign
+        return self_w, between
+
+    def pair_signs(self, mask: OrientationMask = 0) -> dict[tuple[int, int], int]:
+        """C[u, o] * e_u * e_o for each pair u < o of components with C != 0.
+
+        C[u, o] is the signed crossing count between components u and o
+        under the reference orientation, and e_i is -1 if mask reverses
+        component i, else +1.  Reversing one of the two flips every
+        crossing between them, reversing both flips none, so under mask
+
+            writhe = self_writhe + sum of all values,
+            lk(S, rest) = half the sum over the pairs that S separates.
+
+        These are the edges of the linking graph: a sum over masks of a
+        quantity built from them factors over its connected pieces.
+        """
         self._check_mask(mask, "orientation mask")
-        return sum(self._sign(i, mask) for i in range(len(self.crossings)))
+        return {
+            (u, o): -c if ((mask >> u) ^ (mask >> o)) & 1 else c
+            for (u, o), c in self._sign_table[1].items()
+            if c
+        }
+
+    def writhe(self, mask: OrientationMask = 0) -> int:
+        return self._sign_table[0] + sum(self.pair_signs(mask).values())
 
     def self_writhe(self) -> int:
         """Writhe counting only crossings of a component with itself.
@@ -231,11 +267,7 @@ class Diagram:
         Reversing any component flips both strands of such a crossing,
         so this does not depend on orientation.
         """
-        return sum(
-            TAG_SIGN[c.tag]
-            for i, c in enumerate(self.crossings)
-            if self._crossing_comps[i][0] == self._crossing_comps[i][1]
-        )
+        return self._sign_table[0]
 
     def linking_number(self, mask: OrientationMask, submask: SublinkMask) -> int:
         """Linking number of the sublink in submask with everything else.
@@ -244,15 +276,11 @@ class Diagram:
         count is forced even, so an odd total is reported as an engine
         bug rather than rounded.
         """
-        self._check_mask(mask, "orientation mask")
+        pairs = self.pair_signs(mask)
         self._check_mask(submask, "sublink mask")
-        total = 0
-        for i in range(len(self.crossings)):
-            u, o = self._crossing_comps[i]
-            if u == o:
-                continue
-            if ((submask >> u) & 1) != ((submask >> o) & 1):
-                total += self._sign(i, mask)
+        total = sum(
+            c for (u, o), c in pairs.items() if ((submask >> u) ^ (submask >> o)) & 1
+        )
         if total % 2:
             raise InternalInvariantError(
                 "odd crossing count between a sublink and its complement"
@@ -265,11 +293,13 @@ class Diagram:
         Two distinct components of a planar diagram cross an even number
         of times (Jordan curve theorem).  This is a necessary condition
         for planarity only, checked where diagrams enter the package
-        rather than on every diagram the recursion builds.
+        rather than on every diagram the recursion builds.  A signed
+        count has the parity of the plain count, so the sign table
+        answers it.
         """
-        between = Counter((min(u, o), max(u, o)) for u, o in self._crossing_comps if u != o)
-        for (u, o), k in between.items():
-            if k % 2:
+        for (u, o), c in self._sign_table[1].items():
+            if c % 2:
+                k = sum(1 for p in self._crossing_comps if p in ((u, o), (o, u)))
                 raise InvalidDiagramError(
                     f"components {u} and {o} cross an odd number of times ({k}), "
                     "which no planar diagram allows"

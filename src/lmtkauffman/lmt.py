@@ -11,24 +11,50 @@ equally.  ``verify_sublink_formula`` checks the identity with the skein
 engine on the left and pure crossing counts on the right; the writhe
 shift that powers it, writhe(reversed) - writhe = -4 lk, is checked
 separately by ``check_reversal_writhe``.
+
+The sublinks are not enumerated one by one.  lk(S, rest) is half the sum
+of C[u, o] * e_u * e_o over the pairs of components that S separates
+(``Diagram.pair_signs``), so -4 lk(S, rest) is a sum over the edges of
+the linking graph and the sum over S is a product over its connected
+pieces (``transfer.sum_over_masks``); a component that links nothing
+just doubles it.  The right side still comes from crossing signs alone,
+independent of the skein recursion on the left.  The reversal-writhe
+checks are one report per sublink, so ``verify_all`` still makes 2^com
+of them, and refuses diagrams above ``MAX_VERIFY_COMPONENTS``.
 """
 
 from __future__ import annotations
 
-from .diagram import Diagram, InternalInvariantError
-from .kauffman import specialized_f
+from .diagram import Diagram, DiagramError, InternalInvariantError
+from .kauffman import EmptyDiagramError, specialized_f
 from .laurent import LaurentA
 from .report import VerificationReport, compare
-from .transfer import check_skein_identity, check_specialization_identity, g_tau
+from .transfer import (
+    check_skein_identity,
+    check_specialization_identity,
+    g_tau,
+    sum_over_masks,
+)
+
+# verify_all reports one reversal-writhe check per sublink, 2^com lines;
+# 16 components give 65,536 of them.
+MAX_VERIFY_COMPONENTS = 16
 
 
 def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
-    """The sublink side of the formula, from linking numbers alone."""
+    """The sublink side of the formula, from linking numbers alone.
+
+    A pair that S separates adds C[u, o] * e_u * e_o to 2 lk(S, rest),
+    so it weighs -2 times that in the exponent, and 0 when S keeps the
+    pair together.  A diagram in which two components cross an odd number
+    of times has no integral linking numbers and raises InvalidDiagramError.
+    """
     com = d.num_components
-    total: dict[int, int] = {}
-    for s in range(1 << com):
-        e = -4 * d.linking_number(mask, s)
-        total[e] = total.get(e, 0) + 1
+    if com == 0:
+        raise EmptyDiagramError("the empty diagram has no sublink sum")
+    d.check_even_crossings()
+    weights = {pair: (0, -2 * c) for pair, c in d.pair_signs(mask).items()}
+    total = sum_over_masks(com, weights)
     sign = (-1) ** (com - 1)
     half: dict[int, int] = {}
     for e, c in total.items():
@@ -58,13 +84,23 @@ def verify_sublink_formula(
 
 
 def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[VerificationReport]:
-    """Every check this package knows, sharing one skein cache and one g_tau(d)."""
+    """Every check this package knows, sharing one skein cache and one g_tau(d).
+
+    A diagram of more than MAX_VERIFY_COMPONENTS components raises
+    DiagramError before any check runs.
+    """
+    com = d.num_components
+    if com > MAX_VERIFY_COMPONENTS:
+        raise DiagramError(
+            f"verify handles at most {MAX_VERIFY_COMPONENTS} components, this diagram "
+            f"has {com}: it would report 2^{com} reversal-writhe checks"
+        )
     memo: dict = {}
     reports = [verify_sublink_formula(d, mask, memo=memo, subject=subject)]
     g = g_tau(d)
     reports.append(check_specialization_identity(d, memo=memo, subject=subject, g=g))
     for ci in range(len(d.crossings)):
         reports.append(check_skein_identity(d, ci, subject=subject, g=g))
-    for s in range(1 << d.num_components):
+    for s in range(1 << com):
         reports.append(check_reversal_writhe(d, mask, s, subject=subject))
     return reports

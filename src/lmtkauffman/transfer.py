@@ -11,12 +11,25 @@ identities that are checked here exactly:
 * the total equals -2 times the specialized framed polynomial, so this
   module is an independent cross-check of the skein engine that never
   touches the skein recursion itself.
+
+The sum is not enumerated over all 2^com masks.  Under a mask the writhe
+is self_writhe + sum of C[u, o] * e_u * e_o over pairs of components
+(``Diagram.pair_signs``), so it splits into one term per connected piece
+of the linking graph, whose edges are the pairs with C != 0, and the sum
+over masks is a product over the pieces: 2^k masks for a piece of k
+components, and a factor 2 for each component that links nothing.
+``sum_over_masks`` does this for any weight that is a sum over those
+pairs, and ``lmt.lmt_rhs`` uses it too.  Every value still comes from
+crossing signs alone, so the check against the engine stays independent
+of the recursion; only the order of summation changes.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from .diagram import Diagram
-from .kauffman import lambda_poly
+from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
 
@@ -29,19 +42,62 @@ def orientations(d: Diagram) -> range:
     return range(1 << d.num_components)
 
 
+def sum_over_masks(
+    com: int, weights: Mapping[tuple[int, int], tuple[int, int]]
+) -> dict[int, int]:
+    """Sum of a^(weight of x) over the 2^com masks x, as exponent -> count.
+
+    weights maps a pair u < o of components to (w_same, w_cut); the
+    weight of x sums w_same over the pairs whose bits agree in x and
+    w_cut over the pairs they separate.  The sum is a product over the
+    connected pieces of the graph on those pairs, each piece enumerated
+    alone, times 2 for every component in no pair.
+    """
+    adjacent: dict[int, list[int]] = {}
+    for u, o in weights:
+        adjacent.setdefault(u, []).append(o)
+        adjacent.setdefault(o, []).append(u)
+    seen: set[int] = set()
+    total = {0: 1 << (com - len(adjacent))}
+    for root in adjacent:
+        if root in seen:
+            continue
+        seen.add(root)
+        piece = [root]
+        for v in piece:
+            for x in adjacent[v]:
+                if x not in seen:
+                    seen.add(x)
+                    piece.append(x)
+        bit = {v: i for i, v in enumerate(piece)}
+        edges = [(bit[u], bit[o], w) for (u, o), w in weights.items() if u in bit]
+        terms: dict[int, int] = {}
+        for x in range(1 << len(piece)):
+            e = sum(w[((x >> i) ^ (x >> j)) & 1] for i, j, w in edges)
+            terms[e] = terms.get(e, 0) + 1
+        product: dict[int, int] = {}
+        for e, c in total.items():
+            for f, k in terms.items():
+                product[e + f] = product.get(e + f, 0) + c * k
+        total = product
+    return total
+
+
 def g_tau(d: Diagram) -> LaurentA:
     """Sum of (-1)^com * a^writhe over every orientation, as one polynomial.
 
     The writhe under a mask is the framing of that oriented diagram, so
-    the sum collects (-1)^com * a^writhe over all masks.
+    the sum collects (-1)^com * a^writhe over all masks.  Reversing one
+    of two linked components negates their signed crossing count, so
+    each pair weighs (C, -C).
     """
     com = d.num_components
+    if com == 0:
+        raise EmptyDiagramError("the empty diagram has no orientation sum")
+    weights = {pair: (c, -c) for pair, c in d.pair_signs().items()}
     sign = (-1) ** com
-    terms: dict[int, int] = {}
-    for mask in orientations(d):
-        w = d.writhe(mask)
-        terms[w] = terms.get(w, 0) + sign
-    return LaurentA(terms)
+    w0 = d.self_writhe()
+    return LaurentA({w0 + e: sign * c for e, c in sum_over_masks(com, weights).items()})
 
 
 def check_skein_identity(

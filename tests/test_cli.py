@@ -82,6 +82,26 @@ def test_gtau_and_lmt_verbs(tmp_path, capsys):
     assert code == 0 and out == "lmt_rhs=-a^-4 - 1\n"
 
 
+def test_empty_diagram_is_input_error_for_gtau_and_lmt(tmp_path, capsys):
+    path = write(tmp_path, "")
+    for verb in ("gtau", "lmt"):
+        code, out, err = run(capsys, "--porcelain", verb, path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: the empty diagram")
+
+
+def test_many_free_loops_take_closed_forms_and_verify_refuses(tmp_path, capsys):
+    # 2^24 orientations or sublinks: summed as a product, never enumerated
+    path = write(tmp_path, "loops 24\n")
+    code, out, _ = run(capsys, "--porcelain", "gtau", path)
+    assert code == 0 and out == f"gtau={2 ** 24}\n"
+    code, out, _ = run(capsys, "--porcelain", "lmt", path)
+    assert code == 0 and out == f"lmt_rhs={-(2 ** 23)}\n"
+    code, out, err = run(capsys, "--porcelain", "verify", path)
+    assert code == 1 and out == ""
+    assert "at most 16 components" in err and "has 24" in err
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "compute", "/no/such/file.pd")
     assert code == 1

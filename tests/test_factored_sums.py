@@ -1,0 +1,101 @@
+"""The factored orientation and sublink sums against plain enumeration.
+
+``g_tau`` and ``lmt_rhs`` sum over all 2^com masks as a product over the
+pieces of the linking graph, and ``writhe`` and ``linking_number`` read
+a per-pair sign table.  The references here enumerate every mask and
+every sublink and re-sum every crossing through ``crossing_sign``.
+"""
+
+import random
+
+from lmtkauffman.braid import random_closure
+from lmtkauffman.corpus import CORPUS
+from lmtkauffman.diagram import Diagram
+from lmtkauffman.laurent import LaurentA
+from lmtkauffman.lmt import lmt_rhs
+from lmtkauffman.transfer import g_tau, orientations
+
+MAX_COM = 8
+
+
+def _plain_signs(d, mask):
+    return [d.crossing_sign(ci, mask) for ci in range(len(d.crossings))]
+
+
+def _plain_linking(d, signs, submask):
+    total = 0
+    for (u, o), sign in zip(d._crossing_comps, signs):
+        if u != o and ((submask >> u) ^ (submask >> o)) & 1:
+            total += sign
+    assert total % 2 == 0
+    return total // 2
+
+
+def _plain_g_tau(d):
+    terms = {}
+    for mask in orientations(d):
+        w = sum(_plain_signs(d, mask))
+        terms[w] = terms.get(w, 0) + (-1) ** d.num_components
+    return LaurentA(terms)
+
+
+def _plain_lmt_rhs(d, mask):
+    # also checks linking_number on every sublink of this mask
+    signs = _plain_signs(d, mask)
+    terms = {}
+    for s in range(1 << d.num_components):
+        lk = _plain_linking(d, signs, s)
+        assert d.linking_number(mask, s) == lk, (mask, s)
+        terms[-4 * lk] = terms.get(-4 * lk, 0) + 1
+    assert all(c % 2 == 0 for c in terms.values())
+    sign = (-1) ** (d.num_components - 1)
+    return LaurentA({e: sign * c // 2 for e, c in terms.items()})
+
+
+def _check(d):
+    assert g_tau(d) == _plain_g_tau(d), d
+    for mask in orientations(d):
+        assert d.writhe(mask) == sum(_plain_signs(d, mask)), (d, mask)
+        assert lmt_rhs(d, mask) == _plain_lmt_rhs(d, mask), (d, mask)
+
+
+def _small(diagrams):
+    return [d for d in diagrams if 0 < d.num_components <= MAX_COM]
+
+
+def test_corpus_matches_plain_enumeration():
+    for e in CORPUS:
+        _check(e.diagram())
+
+
+def test_random_closures_switches_and_smoothings_match_plain_enumeration():
+    rng = random.Random(70)
+    checked = 0
+    for _ in range(40):
+        d = random_closure(rng, 7)
+        family = [d]
+        for ci in range(len(d.crossings)):
+            family += [d.switch(ci), d.smooth(ci, "A"), d.smooth(ci, "B")]
+        for x in _small(family):
+            _check(x)
+            checked += 1
+    assert checked > 500
+
+
+def test_split_unions_with_free_loops_match_plain_enumeration():
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(10):
+        d = random_closure(rng, 3).distant_union(random_closure(rng, 3))
+        for loops in range(4):
+            for x in _small([Diagram(d.crossings, d.free_loops + loops)]):
+                _check(x)
+                checked += 1
+    assert checked > 20
+
+
+def test_unenumerable_sizes_take_their_closed_forms():
+    # 2^40 masks could not be enumerated; forty free loops link nothing
+    d = Diagram((), 40)
+    assert g_tau(d) == LaurentA({0: (-2) ** 40})
+    assert lmt_rhs(d) == LaurentA({0: (-2) ** 39})

@@ -1,17 +1,27 @@
 import random
 
+import pytest
+
 from lmtkauffman import diagram as diagram_module
 from lmtkauffman.braid import random_closure, random_knot_closure
 from lmtkauffman.corpus import CORPUS, get
-from lmtkauffman.diagram import parse_pd
-from lmtkauffman.kauffman import specialized_f
+from lmtkauffman.diagram import (
+    Crossing,
+    Diagram,
+    DiagramError,
+    InvalidDiagramError,
+    parse_pd,
+)
+from lmtkauffman.kauffman import EmptyDiagramError, specialized_f
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.lmt import (
+    MAX_VERIFY_COMPONENTS,
     check_reversal_writhe,
     lmt_rhs,
     verify_all,
     verify_sublink_formula,
 )
+from lmtkauffman.transfer import g_tau
 
 ONE = LaurentA.one()
 
@@ -113,6 +123,25 @@ def test_verify_all_report_shape():
     assert sum(c.startswith("orientation-sum-skein[") for c in claims) == 2
     assert sum(c.startswith("reversal-writhe[") for c in claims) == 4
     assert all(r.subject == "clasp" for r in reports)
+
+
+def test_verify_all_refuses_more_than_the_component_limit():
+    d = Diagram((), MAX_VERIFY_COMPONENTS + 1)
+    with pytest.raises(DiagramError, match="at most 16 components"):
+        verify_all(d)
+
+
+def test_empty_diagram_has_no_sums():
+    with pytest.raises(EmptyDiagramError):
+        lmt_rhs(Diagram(()))
+    with pytest.raises(EmptyDiagramError):
+        g_tau(Diagram(()))
+
+
+def test_lmt_rhs_rejects_odd_crossings():
+    # built directly, so parse_pd never sees it: two components crossing once
+    with pytest.raises(InvalidDiagramError, match="odd number"):
+        lmt_rhs(Diagram((Crossing((1, 2, 1, 2), "r"),)))
 
 
 def test_corrupted_crossing_signs_fail_the_formula(monkeypatch):
