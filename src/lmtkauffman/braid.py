@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .diagram import Crossing, Diagram
+from .diagram import Crossing, Diagram, _trusted
 
 
 def braid_closure(word: Sequence[int], strands: int) -> Diagram:
@@ -66,7 +66,7 @@ def braid_closure(word: Sequence[int], strands: int) -> Diagram:
     records = tuple(
         Crossing(tuple(remap[e] for e in edges), tag) for tag, edges in merged
     )
-    return Diagram(records, loops)
+    return _trusted(records, loops)
 
 
 def random_word(

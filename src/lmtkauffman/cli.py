@@ -85,6 +85,8 @@ def _verify_targets(args) -> list[tuple[str, Diagram]]:
     if args.corpus:
         return [(e.name, e.diagram()) for e in corpus.CORPUS]
     if args.random is not None:
+        if args.random < 1:
+            raise DiagramError("--random needs N >= 1")
         rng = random.Random(args.seed)
         return [
             (f"random[{i}]", random_closure(rng, args.max_crossings))

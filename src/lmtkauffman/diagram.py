@@ -17,6 +17,12 @@ i.
 The text format accepted by :func:`parse_pd` has an optional first line
 ``loops k`` followed by one crossing per line, ``Xr a b c d`` or
 ``Xl a b c d``.  ``#`` starts a comment.
+
+Input is validated once, where it enters: ``Diagram(...)`` checks edge
+ids and roles, and :func:`parse_pd`, ``lambda_poly`` and ``lmt_rhs``
+check planarity.  Edits that are valid by construction (switch, mirror,
+smoothing, union, braid closure, curls, pokes) build trusted diagrams
+through ``_trusted``, which skips the checks.
 """
 
 from __future__ import annotations
@@ -87,7 +93,8 @@ class Diagram:
     """An unoriented framed link diagram.
 
     Immutable; all editing operations return new diagrams.  Derived
-    structure (components, end maps) is computed once on demand.
+    structure (components, end maps) is computed once on demand, unless
+    the operation that built the diagram already knew it.
     """
 
     crossings: tuple[Crossing, ...]
@@ -287,15 +294,17 @@ class Diagram:
             )
         return total // 2
 
-    def check_even_crossings(self) -> None:
-        """Reject a diagram in which two components cross an odd number of times.
+    def check_planar(self) -> None:
+        """Reject crossing data that no planar diagram has.
 
-        Two distinct components of a planar diagram cross an even number
-        of times (Jordan curve theorem).  This is a necessary condition
-        for planarity only, checked where diagrams enter the package
-        rather than on every diagram the recursion builds.  A signed
-        count has the parity of the plain count, so the sign table
-        answers it.
+        First, for its clearer message: two distinct components of a
+        planar diagram cross an even number of times, and a signed count
+        has the parity of the plain one.  Then each connected piece of n
+        crossings (n vertices, 2n edges) must have n + 2 faces, as
+        V - E + F = 2; on a surface of genus g it has 2g fewer.
+        :func:`faces` traces each piece on its own, so a split union
+        has an outer face per piece.  No piece has more than n + 2, so
+        the total count over all pieces decides.
         """
         for (u, o), c in self._sign_table[1].items():
             if c % 2:
@@ -304,6 +313,26 @@ class Diagram:
                     f"components {u} and {o} cross an odd number of times ({k}), "
                     "which no planar diagram allows"
                 )
+        piece = list(range(len(self.crossings)))
+
+        def root(i: int) -> int:
+            while piece[i] != i:
+                piece[i] = piece[piece[i]]
+                i = piece[i]
+            return i
+
+        fs = faces(self)
+        for f in fs:
+            r = root(f[0][0])
+            for ci, _ in f:
+                piece[root(ci)] = r
+        n = len(piece)
+        pieces = sum(1 for i in range(n) if piece[i] == i)
+        if len(fs) != n + 2 * pieces:
+            raise InvalidDiagramError(
+                f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
+                f"not {n + 2 * pieces}, so they cannot be drawn in the plane"
+            )
 
     # -- traversal --------------------------------------------------------
 
@@ -348,12 +377,24 @@ class Diagram:
         if not 0 <= ci < len(self.crossings):
             raise InvalidDiagramError(f"crossing not found: {ci}")
         cs = list(self.crossings)
-        cs[ci] = cs[ci].switched()
-        return Diagram(tuple(cs), self.free_loops)
+        c = cs[ci] = cs[ci].switched()
+        # the strands run as before; only this crossing's slots move
+        in_end = dict(self._in_end)
+        out_end = dict(self._out_end)
+        for s, e in enumerate(c.edges):
+            (in_end if _is_in_slot(c.tag, s) else out_end)[e] = (ci, s)
+        return _trusted(
+            tuple(cs),
+            self.free_loops,
+            strand_components=self.strand_components,
+            _edge_comp=self._edge_comp,
+            _in_end=in_end,
+            _out_end=out_end,
+        )
 
     def mirror(self) -> "Diagram":
         """Exchange over and under strands everywhere."""
-        return Diagram(tuple(c.switched() for c in self.crossings), self.free_loops)
+        return _trusted(tuple(c.switched() for c in self.crossings), self.free_loops)
 
     def smooth(self, ci: int, which: str) -> "Diagram":
         """Remove a crossing by joining its ends in pairs.
@@ -409,7 +450,7 @@ class Diagram:
         shifted = tuple(
             Crossing(tuple(e + shift for e in c.edges), c.tag) for c in other.crossings
         )
-        return Diagram(self.crossings + shifted, self.free_loops + other.free_loops)
+        return _trusted(self.crossings + shifted, self.free_loops + other.free_loops)
 
     # -- canonical form ---------------------------------------------------
 
@@ -503,6 +544,42 @@ class Diagram:
         return ",".join(map(str, best))
 
 
+def _trusted(crossings: tuple[Crossing, ...], free_loops: int, **derived) -> Diagram:
+    """A Diagram of records that are valid by construction, left unchecked.
+
+    derived pre-fills cached structure the caller already knows, such as
+    ``strand_components``, ``_in_end`` or ``_out_end``; the rest is
+    computed on demand as for any diagram.
+    """
+    d = object.__new__(Diagram)
+    d.__dict__.update(derived, crossings=crossings, free_loops=free_loops)
+    return d
+
+
+def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:
+    """Faces of the diagram as cycles of arrival ends.
+
+    An arrival end is the (crossing, slot) an edge runs into; turning
+    right there, the next boundary edge of the same face is the one
+    arriving from slot - 1.
+    """
+    m = d.end_matching()
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for start in sorted(m):
+        if start in seen:
+            continue
+        face = []
+        h = start
+        while h not in seen:
+            seen.add(h)
+            face.append(h)
+            ci, s = h
+            h = m[(ci, (s - 1) % 4)]
+        out.append(tuple(face))
+    return out
+
+
 def _reassemble(
     handles: Iterable[int],
     matching: Mapping[tuple[int, int], tuple[int, int]],
@@ -514,17 +591,20 @@ def _reassemble(
     (handle, slot) along the connecting arcs.  Under-strand diagonals
     are the even slots.  The strands are retraversed from the smallest
     unused end, edges renumbered in traversal order, and each record's
-    tag rederived from where the two passes enter.
+    tag rederived from where the two passes enter.  Each traversal is a
+    component, a run of consecutive edge ids from its smallest.
     """
     used: set[tuple[int, int]] = set()
     arc_at: dict[tuple[int, int], int] = {}
     under_entry: dict[int, int] = {}
     over_entry: dict[int, int] = {}
     visit_order: list[int] = []
+    comps = []
     next_arc = 1
     for start in sorted((h, s) for h in handles for s in range(4)):
         if start in used:
             continue
+        first = next_arc
         cur = start
         while True:
             h, s = cur
@@ -544,23 +624,34 @@ def _reassemble(
             cur = nxt
             if cur == start:
                 break
+        comps.append(tuple(range(first, next_arc)))
     records = []
-    for h in visit_order:
+    in_end: dict[int, tuple[int, int]] = {}
+    out_end: dict[int, tuple[int, int]] = {}
+    for i, h in enumerate(visit_order):
         u = under_entry[h]
-        o = over_entry[h]
-        tag = "l" if o == (u + 1) % 4 else "r"
+        o = (over_entry[h] - u) % 4  # record slot of the over entry, 1 or 3
         edges = tuple(arc_at[(h, (u + k) % 4)] for k in range(4))
-        records.append(Crossing(edges, tag))
-    return Diagram(tuple(records), free_loops)
+        records.append(Crossing(edges, "l" if o == 1 else "r"))
+        in_end[edges[0]] = (i, 0)
+        in_end[edges[o]] = (i, o)
+        out_end[edges[2]] = (i, 2)
+        out_end[edges[o ^ 2]] = (i, o ^ 2)
+    return _trusted(
+        tuple(records),
+        free_loops,
+        strand_components=tuple(comps),
+        _in_end=in_end,
+        _out_end=out_end,
+    )
 
 
 def parse_pd(text: str) -> Diagram:
     """Parse diagram text into a Diagram.
 
     Edge ids in the text may be any distinct positive integers; they are
-    renumbered to 1..2n preserving order.  Diagrams in which two
-    components cross an odd number of times are rejected, see
-    :meth:`Diagram.check_even_crossings`.
+    renumbered to 1..2n preserving order.  Crossing data that no planar
+    diagram has is rejected, see :meth:`Diagram.check_planar`.
     """
     loops = 0
     records: list[Crossing] = []
@@ -596,7 +687,7 @@ def parse_pd(text: str) -> Diagram:
         Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in records
     )
     d = Diagram(normalized, loops)
-    d.check_even_crossings()
+    d.check_planar()
     return d
 
 

@@ -93,13 +93,13 @@ def lambda_poly(
 
     component_order and basepoints pick the traversal; any choice gives
     the same polynomial.  memo, if given, is shared across calls, which
-    is safe for exactly that reason.  A diagram in which two components
-    cross an odd number of times is not planar and has no such value;
-    it raises InvalidDiagramError.
+    is safe for exactly that reason.  A diagram that is not planar
+    (``Diagram.check_planar``) has no such value; it raises
+    InvalidDiagramError.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
-    d.check_even_crossings()
+    d.check_planar()
     if memo is None and os.environ.get("LMT_NO_MEMO") != "1":
         memo = {}
     return _lambda(d, component_order, basepoints, memo)

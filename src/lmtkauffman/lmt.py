@@ -46,13 +46,14 @@ def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
 
     A pair that S separates adds C[u, o] * e_u * e_o to 2 lk(S, rest),
     so it weighs -2 times that in the exponent, and 0 when S keeps the
-    pair together.  A diagram in which two components cross an odd number
-    of times has no integral linking numbers and raises InvalidDiagramError.
+    pair together.  A diagram that is not planar (``Diagram.check_planar``)
+    raises InvalidDiagramError: if two components cross an odd number of
+    times it has no integral linking numbers.
     """
     com = d.num_components
     if com == 0:
         raise EmptyDiagramError("the empty diagram has no sublink sum")
-    d.check_even_crossings()
+    d.check_planar()
     weights = {pair: (0, -2 * c) for pair, c in d.pair_signs(mask).items()}
     total = sum_over_masks(com, weights)
     sign = (-1) ** (com - 1)

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diagram import Crossing, Diagram, InvalidDiagramError, _reassemble
+from .diagram import (
+    Crossing,
+    Diagram,
+    InvalidDiagramError,
+    _reassemble,
+    _trusted,
+    faces,
+)
 
 
 def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diagram:
@@ -29,7 +36,7 @@ def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diag
             rec = Crossing((delta, delta, gamma, gamma), "r")
         else:
             rec = Crossing((delta, gamma, gamma, delta), "l")
-        return Diagram(d.crossings + (rec,), d.free_loops - 1)
+        return _trusted(d.crossings + (rec,), d.free_loops - 1)
     ci, s = d.edge_in_end(edge)
     cs = list(d.crossings)
     es = list(cs[ci].edges)
@@ -39,31 +46,7 @@ def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diag
         kink = Crossing((edge, delta, gamma, gamma), "r")
     else:
         kink = Crossing((edge, gamma, gamma, delta), "l")
-    return Diagram(tuple(cs) + (kink,), d.free_loops)
-
-
-def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:
-    """Faces of the diagram as cycles of arrival ends.
-
-    An arrival end is the (crossing, slot) an edge runs into; turning
-    right there, the next boundary edge of the same face is the one
-    arriving from slot - 1.
-    """
-    m = d.end_matching()
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for start in sorted(m):
-        if start in seen:
-            continue
-        face = []
-        h = start
-        while h not in seen:
-            seen.add(h)
-            face.append(h)
-            ci, s = h
-            h = m[(ci, (s - 1) % 4)]
-        out.append(tuple(face))
-    return out
+    return _trusted(tuple(cs) + (kink,), d.free_loops)
 
 
 def poke(

@@ -123,6 +123,20 @@ def test_non_planar_diagram_is_invalid_input(tmp_path, capsys):
         assert err.startswith("error:") and "internal error" not in err
 
 
+def test_codes_with_too_few_faces_are_invalid_input(tmp_path, capsys):
+    # even crossing counts, but only 2 faces for 2 crossings (one and two
+    # components); the split union of two curls is planar piece by piece
+    for text in ("Xr 4 3 2 1\nXl 3 2 4 1\n", "Xl 2 4 1 3\nXl 1 3 2 4\n"):
+        path = write(tmp_path, text)
+        for verb in ("compute", "gtau", "lmt", "verify"):
+            code, out, err = run(capsys, verb, path)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "cannot be drawn in the plane" in err
+    path = write(tmp_path, "Xl 1 3 3 1\nXl 4 2 2 4\n")
+    code, _, _ = run(capsys, "verify", path)
+    assert code == 0
+
+
 def test_compute_runs_the_skein_recursion_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -169,6 +183,13 @@ def test_verify_random_is_deterministic(capsys):
         capsys, "--porcelain", "verify", "--random", "5", "--seed", "8"
     )
     assert code3 == 0
+
+
+def test_verify_random_needs_a_positive_count(capsys):
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "--porcelain", "verify", "--random", n)
+        assert code == 1 and out == ""
+        assert err == "error: --random needs N >= 1\n"
 
 
 def test_verify_without_target(capsys):

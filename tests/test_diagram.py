@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from lmtkauffman.braid import braid_closure, random_closure
+from lmtkauffman.braid import braid_closure, random_closure, random_word
+from lmtkauffman.corpus import CORPUS
 from lmtkauffman.diagram import (
     Crossing,
     Diagram,
@@ -12,6 +14,9 @@ from lmtkauffman.diagram import (
     parse_pd,
     to_pd_text,
 )
+from lmtkauffman.kauffman import lambda_poly
+from lmtkauffman.lmt import verify_all
+from lmtkauffman.moves import add_kink, all_pokes
 
 KINK_POS = "Xr 1 1 2 2\n"
 KINK_NEG = "Xl 1 2 2 1\n"
@@ -76,6 +81,45 @@ def test_odd_crossings_between_two_components_rejected():
     with pytest.raises(InvalidDiagramError, match="odd number"):
         parse_pd("Xr 1 2 1 2\n")
     assert parse_pd(HOPF_POS).num_components == 2
+
+
+def test_non_planar_codes_rejected():
+    # one component, and two components crossing twice: each is a single
+    # piece of 2 crossings with 2 faces, where a planar one has 4
+    for text in ("Xr 4 3 2 1\nXl 3 2 4 1\n", "Xl 2 4 1 3\nXl 1 3 2 4\n"):
+        with pytest.raises(InvalidDiagramError, match="cannot be drawn in the plane"):
+            parse_pd(text)
+    # two split curls: 6 faces for 2 crossings overall, but 3 per piece
+    split = parse_pd("Xl 1 3 3 1\nXl 4 2 2 4\n")
+    assert split.num_components == 2
+
+
+def test_planar_check_separates_random_codes():
+    # random records that pass Diagram's edge checks: the ones the
+    # planarity check accepts get one value for every component order
+    # and verify, and it rejects some
+    rng = random.Random(13)
+    accepted = rejected = 0
+    while accepted + rejected < 200:
+        n = rng.randint(1, 4)
+        ids = list(range(1, 2 * n + 1)) * 2
+        rng.shuffle(ids)
+        cs = tuple(Crossing(tuple(ids[4 * i : 4 * i + 4]), rng.choice("rl")) for i in range(n))
+        try:
+            d = Diagram(cs)
+        except InvalidDiagramError:
+            continue
+        try:
+            d.check_planar()
+        except InvalidDiagramError:
+            rejected += 1
+            continue
+        accepted += 1
+        k = len(d.strand_components)
+        values = {lambda_poly(d, component_order=o) for o in itertools.permutations(range(k))}
+        assert len(values) == 1, d
+        assert all(r.passed for r in verify_all(d)), d
+    assert accepted > 50 and rejected > 50
 
 
 def test_components_of_clasp():
@@ -306,3 +350,35 @@ def test_canonical_code_invariant_under_random_relabel():
 
 def test_internal_invariant_error_is_runtime_error():
     assert issubclass(InternalInvariantError, RuntimeError)
+
+
+def _audit(x):
+    # the validating constructor accepts a trusted diagram, and every
+    # structure the builder pre-filled equals the one computed afresh
+    fresh = Diagram(x.crossings, x.free_loops)
+    assert fresh == x
+    for name in ("strand_components", "_in_end", "_out_end", "_edge_comp"):
+        assert getattr(x, name) == getattr(fresh, name), name
+    x.check_planar()
+
+
+def test_trusted_constructions_match_validated_ones():
+    rng = random.Random(14)
+    diagrams = [e.diagram() for e in CORPUS]
+    for _ in range(40):
+        word, strands = random_word(rng, 7)
+        d = braid_closure(word, strands)
+        _audit(d)
+        diagrams.append(d)
+    for d, other in zip(diagrams, diagrams[1:] + diagrams[:1]):
+        outputs = [d.mirror(), d.distant_union(other)]
+        for ci in range(len(d.crossings)):
+            outputs += [d.switch(ci), d.smooth(ci, "A"), d.smooth(ci, "B")]
+            outputs.append(d.switch(ci).switch(rng.randrange(len(d.crossings))))
+        for e in range(1, 2 * len(d.crossings) + 1):
+            outputs.append(add_kink(d, e, positive=e % 2 == 0))
+        if d.free_loops:
+            outputs += [add_kink(d), add_kink(d, positive=False)]
+        outputs += all_pokes(d, limit=6)
+        for x in outputs:
+            _audit(x)

@@ -196,3 +196,22 @@ def test_odd_crossings_rejected_at_engine_entry():
             lambda_poly(d, component_order=order)
     with pytest.raises(InvalidDiagramError, match="odd number"):
         verify_all(d)
+
+
+def test_skein_recursion_validates_no_diagram(monkeypatch):
+    # the recursion's switches and smoothings are built trusted: only the
+    # boundary runs Diagram's checks
+    d = get("borromean").diagram()
+    assert len(d.crossings) == 6
+    calls = []
+    validate = Diagram.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Diagram, "__post_init__", counted)
+    lambda_poly(d)
+    assert calls == []
+    Diagram(d.crossings, d.free_loops)
+    assert len(calls) == 1
