@@ -21,8 +21,8 @@ The text format accepted by :func:`parse_pd` has an optional first line
 Input is validated once, where it enters: ``Diagram(...)`` checks edge
 ids and roles, and :func:`parse_pd`, ``lambda_poly`` and ``lmt_rhs``
 check planarity.  Edits that are valid by construction (switch, mirror,
-smoothing, union, braid closure, curls, pokes) build trusted diagrams
-through ``_trusted``, which skips the checks.
+smoothing, R2 removal, union, braid closure, curls, pokes) build
+trusted diagrams through ``_trusted``, which skips the checks.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ TAG_SIGN = {"r": 1, "l": -1}
 
 OrientationMask = int
 SublinkMask = int
+
+# Slot pairings for removing a crossing: the two smoothings, and both
+# strands passing straight through (slot s joins slot s + 2).
+SMOOTHING = {"A": {0: 1, 1: 0, 2: 3, 3: 2}, "B": {0: 3, 3: 0, 1: 2, 2: 1}}
+STRAIGHT = {0: 2, 2: 0, 1: 3, 3: 1}
 
 
 def _is_in_slot(tag: str, slot: int) -> bool:
@@ -406,43 +411,11 @@ class Diagram:
         entries or two exits, so the whole diagram is retraversed and
         its records rebuilt from scratch.
         """
-        n = len(self.crossings)
-        if not 0 <= ci < n:
+        if not 0 <= ci < len(self.crossings):
             raise InvalidDiagramError(f"crossing not found: {ci}")
         if which not in ("A", "B"):
             raise InvalidDiagramError(f"smoothing must be 'A' or 'B', got {which!r}")
-        pair = {"A": {0: 1, 1: 0, 2: 3, 3: 2}, "B": {0: 3, 3: 0, 1: 2, 2: 1}}[which]
-        m = self.end_matching()
-        kept = [i for i in range(n) if i != ci]
-        new_m: dict[tuple[int, int], tuple[int, int]] = {}
-        consumed: set[tuple[int, int]] = set()
-        for h in kept:
-            for s in range(4):
-                x = (h, s)
-                if x in new_m:
-                    continue
-                y = m[x]
-                while y[0] == ci:
-                    consumed.add(y)
-                    y2 = (ci, pair[y[1]])
-                    consumed.add(y2)
-                    y = m[y2]
-                new_m[x] = y
-                new_m[y] = x
-        loops_added = 0
-        remaining = {(ci, s) for s in range(4)} - consumed
-        while remaining:
-            u = min(remaining)
-            cur = u
-            while True:
-                w = m[cur]
-                remaining.discard(cur)
-                remaining.discard(w)
-                cur = (ci, pair[w[1]])
-                if cur == u:
-                    break
-            loops_added += 1
-        return _reassemble(kept, new_m, self.free_loops + loops_added)
+        return _remove_crossings(self, {ci: SMOOTHING[which]})
 
     def distant_union(self, other: "Diagram") -> "Diagram":
         """Place two diagrams side by side with nothing shared."""
@@ -554,6 +527,47 @@ def _trusted(crossings: tuple[Crossing, ...], free_loops: int, **derived) -> Dia
     d = object.__new__(Diagram)
     d.__dict__.update(derived, crossings=crossings, free_loops=free_loops)
     return d
+
+
+def _remove_crossings(d: Diagram, pairings: Mapping[int, Mapping[int, int]]) -> Diagram:
+    """Remove crossings, joining each one's ends in pairs.
+
+    pairings maps each removed crossing to its slot pairing: a smoothing
+    (``SMOOTHING``) or ``STRAIGHT``, which lets both strands pass
+    through.  Arcs are chained through every removed crossing they meet;
+    chains that close up without reaching a kept crossing become free
+    loops.
+    """
+    m = d.end_matching()
+    kept = [i for i in range(len(d.crossings)) if i not in pairings]
+    new_m: dict[tuple[int, int], tuple[int, int]] = {}
+    consumed: set[tuple[int, int]] = set()
+    for h in kept:
+        for s in range(4):
+            x = (h, s)
+            if x in new_m:
+                continue
+            y = m[x]
+            while y[0] in pairings:
+                consumed.add(y)
+                y = (y[0], pairings[y[0]][y[1]])
+                consumed.add(y)
+                y = m[y]
+            new_m[x] = y
+            new_m[y] = x
+    loops_added = 0
+    remaining = {(ci, s) for ci in pairings for s in range(4)} - consumed
+    while remaining:
+        u = cur = min(remaining)
+        while True:
+            w = m[cur]
+            remaining.discard(cur)
+            remaining.discard(w)
+            cur = (w[0], pairings[w[0]][w[1]])
+            if cur == u:
+                break
+        loops_added += 1
+    return _reassemble(kept, new_m, d.free_loops + loops_added)
 
 
 def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:

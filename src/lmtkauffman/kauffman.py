@@ -18,21 +18,33 @@ is resolved with the switch rule above.  Switching never touches the
 strand structure, so the defect count drops by exactly one, and each
 smoothing removes a crossing, which makes the recursion finite.
 
-Curls are stripped before any defect is looked for: a crossing whose
-two adjacent slots s, s+1 hold the same edge is a curl, worth a or a^-1
-by its tag times the value of the smoothing that untwists it (``B`` for
-even s, ``A`` for odd s; the other one would split off a circle).
+Before a defect is looked for, these exact rules are tried in order,
+and the first that applies gives the value:
+
+1. memo: a diagram met before takes its stored value (see below).
+2. split circles: k free loops beside crossings multiply the value of
+   the same records with no free loops by delta^k, the split circle
+   rule applied k times.
+3. curl: a crossing whose two adjacent slots s, s+1 hold the same edge
+   is worth a or a^-1 by its tag times the value of the smoothing that
+   untwists it (``B`` for even s, ``A`` for odd s; the other one would
+   split off a circle), by the curl rule.
+4. R2: a bigon face whose two edges each lie on one level at both of
+   their crossings (one strand over the other at both) is undone by a
+   second Reidemeister move, which removes both crossings and lets the
+   strands pass straight through.  The value is a regular isotopy
+   invariant, so the move leaves it unchanged.
 
 ``f_oriented`` rescales by a^(-writhe), which makes the value stable
 under curls as well, and ``specialized_f`` evaluates that at
 z = -a - a^-1.
 
 Intermediate results are cached per invocation under the diagram's
-crossing records and free-loop count.  Smoothings renumber their result
-deterministically and switches keep every label, so equal records mean
-an equal diagram and the key costs no search.  Set the environment
-variable LMT_NO_MEMO=1 to compute with no cache; results are identical
-either way.
+crossing records and free-loop count.  Smoothings and removals renumber
+their result deterministically and switches keep every label, so equal
+records mean an equal diagram and the key costs no search.  Set the
+environment variable LMT_NO_MEMO=1 to compute with no cache; results
+are identical either way.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from __future__ import annotations
 import os
 from typing import Mapping, Sequence
 
-from .diagram import TAG_SIGN, Diagram
+from .diagram import STRAIGHT, TAG_SIGN, Diagram, _remove_crossings, _trusted
 from .laurent import LaurentA, LaurentAZ
 
 # Value of one extra split circle.
@@ -82,6 +94,24 @@ def _find_curl(d: Diagram) -> tuple[int, str] | None:
     return None
 
 
+def _find_r2(d: Diagram) -> tuple[int, int] | None:
+    """The two crossings of an R2 bigon, or None if there is none.
+
+    A bigon is a face with two arrival ends (c1, s) and (c2, t) at
+    distinct crossings (see ``diagram.faces``); its edges join
+    (c1, s - 1) to (c2, t) and (c2, t - 1) to (c1, s).  Even slots are
+    under, so the edges lie on one level at both ends when s - 1 and t
+    have the same parity.
+    """
+    m = d.end_matching()
+    for c1 in range(len(d.crossings)):
+        for s in range(4):
+            c2, t = m[(c1, (s - 1) % 4)]
+            if c2 != c1 and (s - 1) % 2 == t % 2 and m[(c2, (t - 1) % 4)] == (c1, s):
+                return c1, c2
+    return None
+
+
 def lambda_poly(
     d: Diagram,
     *,
@@ -111,11 +141,21 @@ def _lambda(d, order, bps, memo) -> LaurentAZ:
         hit = memo.get(key)
         if hit is not None:
             return hit
-    curl = _find_curl(d)
-    if curl is not None:
+    if d.free_loops and d.crossings:
+        bare = _trusted(
+            d.crossings,
+            0,
+            strand_components=d.strand_components,
+            _in_end=d._in_end,
+            _out_end=d._out_end,
+        )
+        val = DELTA ** d.free_loops * _lambda(bare, order, bps, memo)
+    elif (curl := _find_curl(d)) is not None:
         ci, which = curl
         sign = TAG_SIGN[d.crossings[ci].tag]
         val = LaurentAZ.monomial(1, sign) * _lambda(d.smooth(ci, which), None, None, memo)
+    elif (bigon := _find_r2(d)) is not None:
+        val = _lambda(_remove_crossings(d, dict.fromkeys(bigon, STRAIGHT)), None, None, memo)
     else:
         x = first_defect(d, order, bps)
         if x is None:

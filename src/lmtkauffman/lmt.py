@@ -67,10 +67,14 @@ def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
 
 
 def check_reversal_writhe(
-    d: Diagram, mask: int, submask: int, subject: str = ""
+    d: Diagram, mask: int, submask: int, subject: str = "", writhe: int | None = None
 ) -> VerificationReport:
-    """Reversing a sublink shifts the writhe by -4 times its linking."""
-    lhs = d.writhe(mask ^ submask) - d.writhe(mask)
+    """Reversing a sublink shifts the writhe by -4 times its linking.
+
+    writhe, if given, is d.writhe(mask), so that a caller checking every
+    sublink computes it once.
+    """
+    lhs = d.writhe(mask ^ submask) - (d.writhe(mask) if writhe is None else writhe)
     rhs = -4 * d.linking_number(mask, submask)
     return compare(subject, f"reversal-writhe[{submask:b}]", lhs, rhs)
 
@@ -85,7 +89,7 @@ def verify_sublink_formula(
 
 
 def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[VerificationReport]:
-    """Every check this package knows, sharing one skein cache and one g_tau(d).
+    """Every check this package knows, sharing one skein cache, g_tau and writhe.
 
     A diagram of more than MAX_VERIFY_COMPONENTS components raises
     DiagramError before any check runs.
@@ -102,6 +106,7 @@ def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[Verificatio
     reports.append(check_specialization_identity(d, memo=memo, subject=subject, g=g))
     for ci in range(len(d.crossings)):
         reports.append(check_skein_identity(d, ci, subject=subject, g=g))
+    w = d.writhe(mask)
     for s in range(1 << com):
-        reports.append(check_reversal_writhe(d, mask, s, subject=subject))
+        reports.append(check_reversal_writhe(d, mask, s, subject=subject, writhe=w))
     return reports

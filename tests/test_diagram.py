@@ -3,18 +3,21 @@ import random
 
 import pytest
 
+from lmtkauffman import kauffman
 from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import CORPUS
 from lmtkauffman.diagram import (
+    STRAIGHT,
     Crossing,
     Diagram,
     InternalInvariantError,
     InvalidDiagramError,
     PDSyntaxError,
     parse_pd,
+    _remove_crossings,
     to_pd_text,
 )
-from lmtkauffman.kauffman import lambda_poly
+from lmtkauffman.kauffman import _find_r2, lambda_poly
 from lmtkauffman.lmt import verify_all
 from lmtkauffman.moves import add_kink, all_pokes
 
@@ -362,7 +365,7 @@ def _audit(x):
     x.check_planar()
 
 
-def test_trusted_constructions_match_validated_ones():
+def test_trusted_constructions_match_validated_ones(monkeypatch):
     rng = random.Random(14)
     diagrams = [e.diagram() for e in CORPUS]
     for _ in range(40):
@@ -379,6 +382,26 @@ def test_trusted_constructions_match_validated_ones():
             outputs.append(add_kink(d, e, positive=e % 2 == 0))
         if d.free_loops:
             outputs += [add_kink(d), add_kink(d, positive=False)]
-        outputs += all_pokes(d, limit=6)
+        pokes = all_pokes(d, limit=6)
+        outputs += pokes
+        for p in pokes:
+            # each poke makes an R2 bigon, which the skein engine removes
+            outputs.append(_remove_crossings(p, dict.fromkeys(_find_r2(p), STRAIGHT)))
         for x in outputs:
             _audit(x)
+    # every diagram the skein recursion visits, loop-stripped ones included
+    visited = []
+    inner = kauffman._lambda
+
+    def recording(x, *args):
+        visited.append(x)
+        return inner(x, *args)
+
+    monkeypatch.setattr(kauffman, "_lambda", recording)
+    for d in diagrams[:20]:
+        lambda_poly(d.distant_union(Diagram((), 2)))
+        if d.crossings:
+            lambda_poly(all_pokes(d, limit=1)[0])
+    assert any(x.crossings and x.free_loops for x in visited)
+    for x in visited:
+        _audit(x)

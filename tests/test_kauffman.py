@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lmtkauffman.braid import braid_closure, random_closure
+from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import Crossing, Diagram, InvalidDiagramError, parse_pd
 from lmtkauffman.kauffman import (
@@ -16,7 +16,7 @@ from lmtkauffman.kauffman import (
 )
 from lmtkauffman.laurent import LaurentA, LaurentAZ
 from lmtkauffman.lmt import verify_all
-from lmtkauffman.moves import add_kink
+from lmtkauffman.moves import add_kink, all_pokes, first_poke, insert_cancelling_pair
 
 Z = LaurentAZ.monomial(1, 0, 1)
 
@@ -151,8 +151,9 @@ def test_specialized_f_orientation_dependence():
 
 
 def _plain_lambda(d):
-    # the defining recursion with no memo and no curl rule: the reference
-    # the memoized, curl-stripping engine must agree with
+    # the defining recursion with no memo and none of the engine's rules
+    # (split circles, curls, R2 bigons): the reference the engine must
+    # agree with
     x = first_defect(d)
     if x is None:
         return LaurentAZ.monomial(1, d.self_writhe()) * DELTA ** (d.num_components - 1)
@@ -161,12 +162,59 @@ def _plain_lambda(d):
     )
 
 
+def _chain(k):
+    # sigma1^2 sigma2^2 ... sigma_(k-1)^2 closed: k circles, each linked
+    # to the next, a connected sum of k - 1 Hopf links
+    return braid_closure([i for j in range(1, k) for i in (j, j)], k)
+
+
 def test_engine_matches_plain_recursion():
     rng = random.Random(25)
     diagrams = [e.diagram() for e in CORPUS]
     diagrams += [random_closure(rng, 7) for _ in range(40)]
+    # inputs rich in R2 bigons and split circles
+    for _ in range(12):
+        word, strands = random_word(rng, 6)
+        pos = rng.randint(0, len(word))
+        index = rng.randint(1, strands - 1)
+        sign = rng.choice((1, -1))
+        diagrams.append(braid_closure(insert_cancelling_pair(word, pos, index, sign), strands))
+    diagrams.append(_chain(4))
+    diagrams.append(braid_closure([1, -2] * 3, 3))
+    diagrams.append(braid_closure([1, -1], 2))
+    diagrams += [
+        e.diagram().distant_union(Diagram((), k))
+        for e, k in zip(CORPUS, itertools.cycle((1, 2, 3)))
+        if len(e.diagram().crossings) <= 6
+    ]
+    for name in ("hopf_pos", "trefoil_right"):
+        diagrams += all_pokes(get(name).diagram())
     for d in diagrams:
+        assert len(d.crossings) <= 8
         assert lambda_poly(d) == _plain_lambda(d), d
+
+
+def test_chain_is_a_power_of_the_hopf_value():
+    # lambda is multiplicative under connected sum
+    hopf = lambda_poly(_chain(2))
+    assert lambda_poly(_chain(10)) == hopf**9
+
+
+def test_large_closures_take_few_switches(monkeypatch):
+    # the split-circle and R2 rules keep the skein tree small; the bound
+    # counts switches, not seconds, so it does not depend on the machine
+    calls = []
+    switch = Diagram.switch
+
+    def counted(self, ci):
+        calls.append(ci)
+        return switch(self, ci)
+
+    monkeypatch.setattr(Diagram, "switch", counted)
+    for d in (_chain(10), braid_closure([1, -2] * 8, 3)):
+        calls.clear()
+        lambda_poly(d)
+        assert len(calls) <= 5000, len(calls)
 
 
 def test_curls_strip_to_a_power_of_a():
@@ -203,6 +251,8 @@ def test_skein_recursion_validates_no_diagram(monkeypatch):
     # boundary runs Diagram's checks
     d = get("borromean").diagram()
     assert len(d.crossings) == 6
+    # a poke adds an R2 bigon, the loops split circles
+    poked = first_poke(d).distant_union(Diagram((), 2))
     calls = []
     validate = Diagram.__post_init__
 
@@ -212,6 +262,7 @@ def test_skein_recursion_validates_no_diagram(monkeypatch):
 
     monkeypatch.setattr(Diagram, "__post_init__", counted)
     lambda_poly(d)
+    lambda_poly(poked)
     assert calls == []
     Diagram(d.crossings, d.free_loops)
     assert len(calls) == 1

@@ -125,6 +125,23 @@ def test_verify_all_report_shape():
     assert all(r.subject == "clasp" for r in reports)
 
 
+def test_verify_all_computes_the_base_writhe_once(monkeypatch):
+    # one writhe per reversed sublink, plus the base writhe once for all
+    # reversal checks and once for the specialized polynomial
+    d = get("hopf_pos").diagram().distant_union(Diagram((), 4))
+    masks = []
+    writhe = Diagram.writhe
+
+    def counted(self, mask=0):
+        masks.append(mask)
+        return writhe(self, mask)
+
+    monkeypatch.setattr(Diagram, "writhe", counted)
+    reports = verify_all(d)
+    assert all(r.passed for r in reports)
+    assert len(masks) == (1 << d.num_components) + 2
+
+
 def test_verify_all_refuses_more_than_the_component_limit():
     d = Diagram((), MAX_VERIFY_COMPONENTS + 1)
     with pytest.raises(DiagramError, match="at most 16 components"):
