@@ -87,6 +87,8 @@ def _verify_targets(args) -> list[tuple[str, Diagram]]:
     if args.random is not None:
         if args.random < 1:
             raise DiagramError("--random needs N >= 1")
+        if args.max_crossings < 1:
+            raise DiagramError("--max-crossings needs K >= 1")
         rng = random.Random(args.seed)
         return [
             (f"random[{i}]", random_closure(rng, args.max_crossings))

@@ -26,7 +26,7 @@ of them, and refuses diagrams above ``MAX_VERIFY_COMPONENTS``.
 from __future__ import annotations
 
 from .diagram import Diagram, DiagramError, InternalInvariantError
-from .kauffman import EmptyDiagramError, specialized_f
+from .kauffman import specialized_f
 from .laurent import LaurentA
 from .report import VerificationReport, compare
 from .transfer import (
@@ -34,6 +34,7 @@ from .transfer import (
     check_specialization_identity,
     g_tau,
     sum_over_masks,
+    summed_components,
 )
 
 # verify_all reports one reversal-writhe check per sublink, 2^com lines;
@@ -50,9 +51,7 @@ def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
     raises InvalidDiagramError: if two components cross an odd number of
     times it has no integral linking numbers.
     """
-    com = d.num_components
-    if com == 0:
-        raise EmptyDiagramError("the empty diagram has no sublink sum")
+    com = summed_components(d, "sublink sum")
     d.check_planar()
     weights = {pair: (0, -2 * c) for pair, c in d.pair_signs(mask).items()}
     total = sum_over_masks(com, weights)

@@ -92,16 +92,10 @@ def poke(
 
 def first_poke(d: Diagram) -> Diagram:
     """A deterministic poke: the first eligible pair of face ends."""
-    m = d.end_matching()
-    for f in faces(d):
-        for i in range(len(f)):
-            for j in range(len(f)):
-                if i == j:
-                    continue
-                if m[f[i]] == f[j] or f[i] == f[j]:
-                    continue
-                return poke(d, f[i], f[j])
-    raise InvalidDiagramError("no face offers two distinct edges")
+    pokes = all_pokes(d, limit=1)
+    if not pokes:
+        raise InvalidDiagramError("no face offers two distinct edges")
+    return pokes[0]
 
 
 def all_pokes(d: Diagram, limit: int | None = None) -> list[Diagram]:

@@ -28,13 +28,17 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .diagram import Diagram
+from .diagram import Diagram, DiagramError
 from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
 
 # Specialization of z.
 NEG_A_PAIR = LaurentA({1: -1, -1: -1})
+
+# g_tau and lmt_rhs have coefficients up to 2^com; 4096 components keep
+# them within 1,234 digits, which print at once.
+MAX_SUM_COMPONENTS = 4096
 
 
 def orientations(d: Diagram) -> range:
@@ -83,6 +87,23 @@ def sum_over_masks(
     return total
 
 
+def summed_components(d: Diagram, what: str) -> int:
+    """The component count of a diagram whose masks are to be summed.
+
+    Raises EmptyDiagramError for the empty diagram, and DiagramError
+    above MAX_SUM_COMPONENTS.
+    """
+    com = d.num_components
+    if com == 0:
+        raise EmptyDiagramError(f"the empty diagram has no {what}")
+    if com > MAX_SUM_COMPONENTS:
+        raise DiagramError(
+            f"the {what} handles at most {MAX_SUM_COMPONENTS} components, this diagram "
+            f"has {com}: its coefficients would run to 2^{com}"
+        )
+    return com
+
+
 def g_tau(d: Diagram) -> LaurentA:
     """Sum of (-1)^com * a^writhe over every orientation, as one polynomial.
 
@@ -91,9 +112,7 @@ def g_tau(d: Diagram) -> LaurentA:
     of two linked components negates their signed crossing count, so
     each pair weighs (C, -C).
     """
-    com = d.num_components
-    if com == 0:
-        raise EmptyDiagramError("the empty diagram has no orientation sum")
+    com = summed_components(d, "orientation sum")
     weights = {pair: (c, -c) for pair, c in d.pair_signs().items()}
     sign = (-1) ** com
     w0 = d.self_writhe()

@@ -100,6 +100,18 @@ def test_many_free_loops_take_closed_forms_and_verify_refuses(tmp_path, capsys):
     code, out, err = run(capsys, "--porcelain", "verify", path)
     assert code == 1 and out == ""
     assert "at most 16 components" in err and "has 24" in err
+    # coefficients of 2^com: the sums stop at a component limit rather
+    # than print thousands of digits or fail inside the formatter
+    path = write(tmp_path, "loops 4096\n")
+    code, out, _ = run(capsys, "--porcelain", "gtau", path)
+    assert code == 0 and out == f"gtau={2 ** 4096}\n"
+    for loops in (4097, 20000, 100000000):
+        path = write(tmp_path, f"loops {loops}\n")
+        for verb in ("gtau", "lmt"):
+            code, out, err = run(capsys, "--porcelain", verb, path)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "at most 4096 components" in err
+            assert f"has {loops}" in err
 
 
 def test_missing_file(capsys):
@@ -190,6 +202,12 @@ def test_verify_random_needs_a_positive_count(capsys):
         code, out, err = run(capsys, "--porcelain", "verify", "--random", n)
         assert code == 1 and out == ""
         assert err == "error: --random needs N >= 1\n"
+    for k in ("0", "-5"):
+        code, out, err = run(
+            capsys, "--porcelain", "verify", "--random", "3", "--max-crossings", k
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --max-crossings needs K >= 1\n"
 
 
 def test_verify_without_target(capsys):

@@ -14,6 +14,7 @@ from lmtkauffman.diagram import (
     InvalidDiagramError,
     PDSyntaxError,
     parse_pd,
+    _reassemble,
     _remove_crossings,
     to_pd_text,
 )
@@ -326,6 +327,17 @@ def test_colliding_codes_carry_equal_polynomials():
     assert lambda_poly(d2, memo=shared) == fresh2
     # the oriented, writhe-corrected values still differ, via the writhe
     assert d1.writhe(0) == 2 and d2.writhe(0) == -2
+    # a seeded family of closures, their mirrors and switches: every
+    # diagram sharing a code shares its framed value
+    rng = random.Random(13)
+    groups: dict[str, list[Diagram]] = {}
+    for _ in range(30):
+        d = random_closure(rng, 5)
+        for x in [d, d.mirror()] + [d.switch(ci) for ci in range(len(d.crossings))]:
+            groups.setdefault(x.canonical_code(), []).append(x)
+    assert any(len({x.crossings for x in g}) > 1 for g in groups.values())
+    for g in groups.values():
+        assert len({lambda_poly(x) for x in g}) == 1
 
 
 def test_canonical_code_stable_under_rebuild():
@@ -337,18 +349,64 @@ def test_canonical_code_stable_under_rebuild():
         assert again.canonical_code() == d.canonical_code()
 
 
+def _relabeled(d, rng):
+    # the same unoriented diagram rebuilt from its geometry with the
+    # crossings renamed and some turned half-way round, which moves the
+    # strands' reference directions, then with its edge ids and its
+    # crossing order shuffled
+    n = len(d.crossings)
+    name = rng.sample(range(n), n)
+    turn = [rng.choice((0, 2)) for _ in range(n)]
+    m = {
+        (name[h], (s + turn[h]) % 4): (name[k], (t + turn[k]) % 4)
+        for (h, s), (k, t) in d.end_matching().items()
+    }
+    d = _reassemble(range(n), m, d.free_loops)
+    n2 = 2 * n
+    perm = list(range(1, n2 + 1))
+    rng.shuffle(perm)
+    remap = dict(zip(range(1, n2 + 1), perm))
+    cs = [Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in d.crossings]
+    rng.shuffle(cs)
+    return Diagram(tuple(cs), d.free_loops)
+
+
+def _kinked_circles(signs):
+    u = Diagram((), 0)
+    for positive in signs:
+        u = u.distant_union(parse_pd(KINK_POS if positive else KINK_NEG))
+    return u
+
+
 def test_canonical_code_invariant_under_random_relabel():
     rng = random.Random(12)
-    for _ in range(40):
-        d = random_closure(rng, 6)
-        n2 = 2 * len(d.crossings)
-        perm = list(range(1, n2 + 1))
-        rng.shuffle(perm)
-        remap = dict(zip(range(1, n2 + 1), perm))
-        cs = tuple(
-            Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in d.crossings
-        )
-        assert Diagram(cs, d.free_loops).canonical_code() == d.canonical_code()
+    closures = [random_closure(rng, 6) for _ in range(40)]
+    for d in closures:
+        assert _relabeled(d, rng).canonical_code() == d.canonical_code()
+    # split unions, in both orders
+    for d1, d2 in zip(closures, closures[1:]):
+        u = d1.distant_union(d2)
+        assert d2.distant_union(d1).canonical_code() == u.canonical_code()
+        assert _relabeled(u, rng).canonical_code() == u.canonical_code()
+    # unions of 2-12 kinked circles: the code sees only how many curl each way
+    for k in range(2, 13):
+        signs = [rng.random() < 0.5 for _ in range(k)]
+        d = _kinked_circles(signs)
+        assert _relabeled(d, rng).canonical_code() == d.canonical_code()
+        assert _kinked_circles(sorted(signs)).canonical_code() == d.canonical_code()
+        if 0 < sum(signs) < k:
+            assert _kinked_circles([True] * k).canonical_code() != d.canonical_code()
+
+
+def test_canonical_code_of_many_components():
+    # the code walks each piece from each of its ends, so it needs no
+    # search over component orders: 12 split circles and a 24-component
+    # chain are coded directly
+    rng = random.Random(15)
+    chain = braid_closure([i for j in range(1, 24) for i in (j, j)], 24)
+    for d in (_kinked_circles([True] * 12), chain):
+        assert _relabeled(d, rng).canonical_code() == d.canonical_code()
+    assert chain.num_components == 24
 
 
 def test_internal_invariant_error_is_runtime_error():
