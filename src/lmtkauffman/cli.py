@@ -9,6 +9,7 @@ and on verification failure, 2 when an internal invariant breaks.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -19,6 +20,13 @@ from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentAZ, PolySyntaxError, SpecializationError
 from .lmt import lmt_rhs, verify_all
 from .transfer import g_tau
+
+
+# lambda of k components runs down to z^-(k - 1) with about k^2 / 2 terms
+# of up to k-digit coefficients: at 128 components `compute` prints 0.49 MB
+# per polynomial, and --oriented --specialize finishes in under a second;
+# 256 would print 3.5 MB and take five.
+MAX_COMPUTE_COMPONENTS = 128
 
 
 def _read_diagram(path: str) -> Diagram:
@@ -48,6 +56,12 @@ def _header(args, path: str, d: Diagram) -> None:
 
 def cmd_compute(args) -> int:
     d = _read_diagram(args.path)
+    com = d.num_components
+    if com > MAX_COMPUTE_COMPONENTS:
+        raise DiagramError(
+            f"compute handles at most {MAX_COMPUTE_COMPONENTS} components, this diagram "
+            f"has {com}: its polynomial would run to z^-{com - 1}"
+        )
     mask = _parse_mask(args.orientation, d)
     _header(args, args.path, d)
     lam = lambda_poly(d)
@@ -144,7 +158,9 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared."""
     p = argparse.ArgumentParser(
         prog="lmtkauffman",
         description="Exact framed-link polynomial computation and identity checks.",

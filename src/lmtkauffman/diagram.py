@@ -58,10 +58,10 @@ TAG_SIGN = {"r": 1, "l": -1}
 OrientationMask = int
 SublinkMask = int
 
-# Slot pairings for removing a crossing: the two smoothings, and both
-# strands passing straight through (slot s joins slot s + 2).
-SMOOTHING = {"A": {0: 1, 1: 0, 2: 3, 3: 2}, "B": {0: 3, 3: 0, 1: 2, 2: 1}}
-STRAIGHT = {0: 2, 2: 0, 1: 3, 3: 1}
+# Slot pairings for removing a crossing, slot s joining slot pairing[s]:
+# the two smoothings, and both strands passing straight through.
+SMOOTHING = {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0)}
+STRAIGHT = (2, 3, 0, 1)
 
 
 def _is_in_slot(tag: str, slot: int) -> bool:
@@ -201,15 +201,24 @@ class Diagram:
             for c in self.crossings
         )
 
+    @cached_property
+    def _mate(self) -> tuple[int, ...]:
+        # the end array: end (crossing h, slot s) is 4h + s, and entry x
+        # is the end that x's edge runs to
+        mate = [0] * (4 * len(self.crossings))
+        first: dict[int, int] = {}
+        for x, e in enumerate(e for c in self.crossings for e in c.edges):
+            y = first.pop(e, None)
+            if y is None:
+                first[e] = x
+            else:
+                mate[x] = y
+                mate[y] = x
+        return tuple(mate)
+
     def end_matching(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Pair each crossing end with the end its edge runs to."""
-        m = {}
-        for e in range(1, 2 * len(self.crossings) + 1):
-            x = self._out_end[e]
-            y = self._in_end[e]
-            m[x] = y
-            m[y] = x
-        return m
+        return {(x >> 2, x & 3): (y >> 2, y & 3) for x, y in enumerate(self._mate)}
 
     # -- orientation data -------------------------------------------------
 
@@ -309,12 +318,18 @@ class Diagram:
         V - E + F = 2; on a surface of genus g it has 2g fewer.
         :func:`faces` traces each piece on its own, so a split union
         has an outer face per piece.  No piece has more than n + 2, so
-        the total count over all pieces decides.
+        the total count over all pieces decides.  The verdict is kept on
+        the diagram, so later calls cost nothing.
         """
+        if self._planarity_error is not None:
+            raise InvalidDiagramError(self._planarity_error)
+
+    @cached_property
+    def _planarity_error(self) -> str | None:
         for (u, o), c in self._sign_table[1].items():
             if c % 2:
                 k = sum(1 for p in self._crossing_comps if p in ((u, o), (o, u)))
-                raise InvalidDiagramError(
+                return (
                     f"components {u} and {o} cross an odd number of times ({k}), "
                     "which no planar diagram allows"
                 )
@@ -334,10 +349,11 @@ class Diagram:
         n = len(piece)
         pieces = sum(1 for i in range(n) if piece[i] == i)
         if len(fs) != n + 2 * pieces:
-            raise InvalidDiagramError(
+            return (
                 f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
                 f"not {n + 2 * pieces}, so they cannot be drawn in the plane"
             )
+        return None
 
     # -- traversal --------------------------------------------------------
 
@@ -383,11 +399,24 @@ class Diagram:
             raise InvalidDiagramError(f"crossing not found: {ci}")
         cs = list(self.crossings)
         c = cs[ci] = cs[ci].switched()
-        # the strands run as before; only this crossing's slots move
+        # the strands run as before; only this crossing's slots move, each
+        # by one place: old slot s is new slot s + turn
         in_end = dict(self._in_end)
         out_end = dict(self._out_end)
         for s, e in enumerate(c.edges):
             (in_end if _is_in_slot(c.tag, s) else out_end)[e] = (ci, s)
+        b = 4 * ci
+        turn = 1 if c.tag == "l" else 3
+
+        def moved(x: int) -> int:
+            return b + (x + turn) % 4 if x >> 2 == ci else x
+
+        old = self._mate
+        mate = list(old)
+        for x in range(b, b + 4):
+            y = moved(old[x])
+            mate[moved(x)] = y
+            mate[y] = moved(x)
         return _trusted(
             tuple(cs),
             self.free_loops,
@@ -395,6 +424,7 @@ class Diagram:
             _edge_comp=self._edge_comp,
             _in_end=in_end,
             _out_end=out_end,
+            _mate=tuple(mate),
         )
 
     def mirror(self) -> "Diagram":
@@ -411,11 +441,14 @@ class Diagram:
         entries or two exits, so the whole diagram is retraversed and
         its records rebuilt from scratch.
         """
-        if not 0 <= ci < len(self.crossings):
+        n = len(self.crossings)
+        if not 0 <= ci < n:
             raise InvalidDiagramError(f"crossing not found: {ci}")
         if which not in ("A", "B"):
             raise InvalidDiagramError(f"smoothing must be 'A' or 'B', got {which!r}")
-        return _remove_crossings(self, {ci: SMOOTHING[which]})
+        mate = list(self._mate)
+        loops = _unplug(mate, ci, SMOOTHING[which])
+        return _reassemble([h for h in range(n) if h != ci], mate, self.free_loops + loops)
 
     def distant_union(self, other: "Diagram") -> "Diagram":
         """Place two diagrams side by side with nothing shared."""
@@ -501,45 +534,26 @@ def _trusted(crossings: tuple[Crossing, ...], free_loops: int, **derived) -> Dia
     return d
 
 
-def _remove_crossings(d: Diagram, pairings: Mapping[int, Mapping[int, int]]) -> Diagram:
-    """Remove crossings, joining each one's ends in pairs.
+def _unplug(mate: list[int], h: int, pairing: Sequence[int]) -> int:
+    """Remove crossing h from an end array, joining slot s to pairing[s].
 
-    pairings maps each removed crossing to its slot pairing: a smoothing
-    (``SMOOTHING``) or ``STRAIGHT``, which lets both strands pass
-    through.  Arcs are chained through every removed crossing they meet;
-    chains that close up without reaching a kept crossing become free
-    loops.
+    mate is the list form of ``Diagram._mate`` and is edited in place:
+    the ends that ran to h now run to each other, and h's own entries
+    are left stale.  Returns the number of loops that close on h alone,
+    which is where an edge joins two slots that the pairing joins too.
     """
-    m = d.end_matching()
-    kept = [i for i in range(len(d.crossings)) if i not in pairings]
-    new_m: dict[tuple[int, int], tuple[int, int]] = {}
-    consumed: set[tuple[int, int]] = set()
-    for h in kept:
-        for s in range(4):
-            x = (h, s)
-            if x in new_m:
-                continue
-            y = m[x]
-            while y[0] in pairings:
-                consumed.add(y)
-                y = (y[0], pairings[y[0]][y[1]])
-                consumed.add(y)
-                y = m[y]
-            new_m[x] = y
-            new_m[y] = x
-    loops_added = 0
-    remaining = {(ci, s) for ci in pairings for s in range(4)} - consumed
-    while remaining:
-        u = cur = min(remaining)
-        while True:
-            w = m[cur]
-            remaining.discard(cur)
-            remaining.discard(w)
-            cur = (w[0], pairings[w[0]][w[1]])
-            if cur == u:
-                break
-        loops_added += 1
-    return _reassemble(kept, new_m, d.free_loops + loops_added)
+    b = 4 * h
+    loops = 0
+    for s in range(4):
+        t = pairing[s]
+        if s < t:
+            x, y = mate[b + s], mate[b + t]
+            if x == b + t:
+                loops += 1
+            else:
+                mate[x] = y
+                mate[y] = x
+    return loops
 
 
 def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:
@@ -549,75 +563,73 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:
     right there, the next boundary edge of the same face is the one
     arriving from slot - 1.
     """
-    m = d.end_matching()
-    seen: set[tuple[int, int]] = set()
+    mate = d._mate
+    seen = [False] * len(mate)
     out = []
-    for start in sorted(m):
-        if start in seen:
+    for start in range(len(mate)):
+        if seen[start]:
             continue
         face = []
-        h = start
-        while h not in seen:
-            seen.add(h)
-            face.append(h)
-            ci, s = h
-            h = m[(ci, (s - 1) % 4)]
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            face.append((x >> 2, x & 3))
+            x = mate[x - 1 if x & 3 else x + 3]
         out.append(tuple(face))
     return out
 
 
-def _reassemble(
-    handles: Iterable[int],
-    matching: Mapping[tuple[int, int], tuple[int, int]],
-    free_loops: int,
-) -> Diagram:
+def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) -> Diagram:
     """Rebuild crossing records from bare crossing geometry.
 
-    handles name the surviving crossings; matching pairs their ends
-    (handle, slot) along the connecting arcs.  Under-strand diagonals
-    are the even slots.  The strands are retraversed from the smallest
-    unused end, edges renumbered in traversal order, and each record's
-    tag rederived from where the two passes enter.  Each traversal is a
-    component, a run of consecutive edge ids from its smallest.
+    handles name the surviving crossings; mate is an end array over
+    them (see ``Diagram._mate``), pairing their ends 4 * handle + slot
+    along the connecting arcs; entries of other handles are ignored.
+    Under-strand diagonals are the even slots.  The strands are
+    retraversed from the smallest unused end, edges renumbered in
+    traversal order, and each record's tag rederived from where the two
+    passes enter.  Each traversal is a component, a run of consecutive
+    edge ids from its smallest.  The result's own end array comes along.
     """
-    used: set[tuple[int, int]] = set()
-    arc_at: dict[tuple[int, int], int] = {}
-    under_entry: dict[int, int] = {}
-    over_entry: dict[int, int] = {}
-    visit_order: list[int] = []
+    arc = [0] * len(mate)  # arc id at each end, 0 while unused
+    under = [0] * (len(mate) // 4)  # slot where each under-strand enters
+    over = under[:]
+    met = [False] * len(under)
+    order: list[int] = []  # handles in the order the traversal first meets them
     comps = []
     next_arc = 1
-    for start in sorted((h, s) for h in handles for s in range(4)):
-        if start in used:
-            continue
-        first = next_arc
-        cur = start
-        while True:
-            h, s = cur
-            used.add(cur)
-            if h not in under_entry and h not in over_entry:
-                visit_order.append(h)
-            if s % 2 == 0:
-                under_entry[h] = s
-            else:
-                over_entry[h] = s
-            exit_end = (h, (s + 2) % 4)
-            used.add(exit_end)
-            nxt = matching[exit_end]
-            arc_at[exit_end] = next_arc
-            arc_at[nxt] = next_arc
-            next_arc += 1
-            cur = nxt
-            if cur == start:
-                break
-        comps.append(tuple(range(first, next_arc)))
+    for handle in sorted(handles):
+        for start in range(4 * handle, 4 * handle + 4):
+            if arc[start]:
+                continue
+            first = next_arc
+            cur = start
+            while True:
+                h = cur >> 2
+                if not met[h]:
+                    met[h] = True
+                    order.append(h)
+                (over if cur & 1 else under)[h] = cur & 3
+                exit_end = cur ^ 2
+                cur = mate[exit_end]
+                arc[exit_end] = arc[cur] = next_arc
+                next_arc += 1
+                if cur == start:
+                    break
+            comps.append(tuple(range(first, next_arc)))
     records = []
     in_end: dict[int, tuple[int, int]] = {}
     out_end: dict[int, tuple[int, int]] = {}
-    for i, h in enumerate(visit_order):
-        u = under_entry[h]
-        o = (over_entry[h] - u) % 4  # record slot of the over entry, 1 or 3
-        edges = tuple(arc_at[(h, (u + k) % 4)] for k in range(4))
+    moved = [0] * len(mate)  # old end -> new end
+    old_ends: list[int] = []
+    for i, h in enumerate(order):
+        x0 = 4 * h + under[h]  # under[h] is 0 or 2
+        ends = (x0, x0 + 1, x0 ^ 2, x0 ^ 3)  # record slots 0-3, from the under entry
+        old_ends += ends
+        for k in range(4):
+            moved[ends[k]] = 4 * i + k
+        edges = tuple(arc[x] for x in ends)
+        o = (over[h] - under[h]) % 4  # record slot of the over entry, 1 or 3
         records.append(Crossing(edges, "l" if o == 1 else "r"))
         in_end[edges[0]] = (i, 0)
         in_end[edges[o]] = (i, o)
@@ -629,6 +641,7 @@ def _reassemble(
         strand_components=tuple(comps),
         _in_end=in_end,
         _out_end=out_end,
+        _mate=tuple(moved[mate[x]] for x in old_ends),
     )
 
 

@@ -18,41 +18,57 @@ is resolved with the switch rule above.  Switching never touches the
 strand structure, so the defect count drops by exactly one, and each
 smoothing removes a crossing, which makes the recursion finite.
 
-Before a defect is looked for, these exact rules are tried in order,
-and the first that applies gives the value:
+Only reduced diagrams are expanded: no curl, no R2 bigon, no free loop.
+``_reduce`` builds each child of an expanded diagram (its switch, its A
+and B smoothings), and the input itself, on a copy of the parent's flat
+end array ``Diagram._mate`` (entry 4h + s is the end that the edge at
+slot s of crossing h runs to).  It first removes the crossing being
+smoothed, then takes a crossing at a time from a work list and applies
+the first of these exact rules that fits, until the list is empty:
 
-1. memo: a diagram met before takes its stored value (see below).
-2. split circles: k free loops beside crossings multiply the value of
-   the same records with no free loops by delta^k, the split circle
-   rule applied k times.
-3. curl: a crossing whose two adjacent slots s, s+1 hold the same edge
-   is worth a or a^-1 by its tag times the value of the smoothing that
-   untwists it (``B`` for even s, ``A`` for odd s; the other one would
-   split off a circle), by the curl rule.
-4. R2: a bigon face whose two edges each lie on one level at both of
-   their crossings (one strand over the other at both) is undone by a
-   second Reidemeister move, which removes both crossings and lets the
-   strands pass straight through.  The value is a regular isotopy
-   invariant, so the move leaves it unchanged.
+1. curl: slots s and s + 1 of one crossing are joined by an edge.  The
+   smoothing that keeps the strand whole (``B`` for even s, ``A`` for
+   odd s) removes it, times a for even s and a^-1 for odd s, by the curl
+   rule.
+2. R2 bigon: a face with two arrival ends at distinct crossings whose
+   edges each lie on one level at both crossings (one strand over the
+   other at both).  Both crossings go, the strands passing straight
+   through, by a second Reidemeister move; the value is a regular
+   isotopy invariant, so the move leaves it unchanged.
+
+A removal touches O(1) entries of the array and puts the crossings next
+to it on the list, which is where a new curl or bigon can appear.
+Strands that close up with no crossing left are split circles, worth
+delta each, as are free loops beside crossings.  The child's records are
+then rebuilt once, by ``_reassemble``; a child the rules leave whole
+keeps its records, and a switch keeps every label.
+
+A curl's sign comes from slot parity, not from the crossing's tag.  The
+array keeps each crossing's slots, and even slots stay the under-strand,
+so which two adjacent slots a curl joins fixes its sign.  The tag is
+relative to the record's reference direction, which a smoothing
+elsewhere can reverse, so after removals on the array the parent's tags
+no longer describe the strands: reading the sign from them gets even
+the clasp wrong.
 
 ``f_oriented`` rescales by a^(-writhe), which makes the value stable
 under curls as well, and ``specialized_f`` evaluates that at
 z = -a - a^-1.
 
-Intermediate results are cached per invocation under the diagram's
-crossing records and free-loop count.  Smoothings and removals renumber
-their result deterministically and switches keep every label, so equal
-records mean an equal diagram and the key costs no search.  Set the
-environment variable LMT_NO_MEMO=1 to compute with no cache; results
-are identical either way.
+Intermediate results are cached per invocation under the crossing
+records of the reduced diagrams.  Reassembly renumbers deterministically
+and switches keep every label, so equal records mean an equal diagram
+and the key costs no search.  Set the environment variable LMT_NO_MEMO=1
+to compute with no cache; results are identical either way.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from math import comb
+from typing import Iterable, Mapping, Sequence
 
-from .diagram import STRAIGHT, TAG_SIGN, Diagram, _remove_crossings, _trusted
+from .diagram import SMOOTHING, STRAIGHT, Diagram, _reassemble, _trusted, _unplug
 from .laurent import LaurentA, LaurentAZ
 
 # Value of one extra split circle.
@@ -63,6 +79,22 @@ _Z = LaurentAZ({(0, 1): 1})
 
 class EmptyDiagramError(ValueError):
     """The invariant is defined for nonempty links only."""
+
+
+def _a_delta(k: int, loops: int) -> LaurentAZ:
+    """a^k * DELTA^loops, written out from the binomial expansion.
+
+    DELTA = (a + a^-1) z^-1 - 1, so DELTA^loops is the sum over m and i of
+    C(loops, m) (-1)^(loops - m) C(m, i) a^(2i - m) z^-m, every (m, i)
+    giving its own term; no product is formed.
+    """
+    return LaurentAZ._from_pairs(
+        {
+            (k + 2 * i - m, -m): (-1) ** (loops - m) * comb(loops, m) * comb(m, i)
+            for m in range(loops + 1)
+            for i in range(m + 1)
+        }
+    )
 
 
 def first_defect(
@@ -81,35 +113,69 @@ def first_defect(
     return None
 
 
-def _find_curl(d: Diagram) -> tuple[int, str] | None:
-    """A curl as (crossing, untwisting smoothing), or None if there is none.
+def _reduce(
+    d: Diagram, pairings: Mapping[int, Sequence[int]], check: Iterable[int]
+) -> tuple[int, int, Diagram | None]:
+    """d with pairings' crossings removed, then stripped by the exact rules.
 
-    A curl is an edge joining two adjacent slots of one crossing.
+    pairings maps crossings to slot pairings (``SMOOTHING``).  check
+    names the crossings of d that may carry a curl or an R2 bigon; the
+    neighbours of each removed crossing are checked as well, which is
+    where new ones appear.  Returns (k, loops, r) such that the value of
+    the result is a^k * delta^loops times the value of r, where r has no
+    curl, no R2 bigon and no free loop; r is None when no crossing is
+    left, standing for one circle.
     """
-    for ci, c in enumerate(d.crossings):
-        e = c.edges
+    n = len(d.crossings)
+    mate = list(d._mate)
+    alive = [True] * n
+    k = 0
+    loops = d.free_loops
+    todo = list(check)
+
+    def remove(h: int, pairing: Sequence[int]) -> None:
+        nonlocal loops
+        alive[h] = False
+        todo.extend(mate[x] >> 2 for x in range(4 * h, 4 * h + 4))
+        loops += _unplug(mate, h, pairing)
+
+    for h, pairing in pairings.items():
+        remove(h, pairing)
+    while todo:
+        h = todo.pop()
+        if not alive[h]:
+            continue
+        b = 4 * h
         for s in range(4):
-            if e[s] == e[(s + 1) % 4]:
-                return ci, "B" if s % 2 == 0 else "A"
-    return None
-
-
-def _find_r2(d: Diagram) -> tuple[int, int] | None:
-    """The two crossings of an R2 bigon, or None if there is none.
-
-    A bigon is a face with two arrival ends (c1, s) and (c2, t) at
-    distinct crossings (see ``diagram.faces``); its edges join
-    (c1, s - 1) to (c2, t) and (c2, t - 1) to (c1, s).  Even slots are
-    under, so the edges lie on one level at both ends when s - 1 and t
-    have the same parity.
-    """
-    m = d.end_matching()
-    for c1 in range(len(d.crossings)):
-        for s in range(4):
-            c2, t = m[(c1, (s - 1) % 4)]
-            if c2 != c1 and (s - 1) % 2 == t % 2 and m[(c2, (t - 1) % 4)] == (c1, s):
-                return c1, c2
-    return None
+            if mate[b + s] == b + (s + 1) % 4:
+                # a curl on slots s, s + 1: even s is worth a, odd s a^-1
+                k += 1 - 2 * (s & 1)
+                remove(h, SMOOTHING["A" if s & 1 else "B"])
+                break
+            # the bigon with arrival ends (h, s) and y = (h2, t), if any:
+            # its edges run (h, s - 1)-(h2, t) and (h2, t - 1)-(h, s) and
+            # each lie on one level when s - 1 and t share parity
+            y = mate[b + (s - 1) % 4]
+            if y >> 2 != h and (s + y) & 1 and mate[y - 1 if y & 3 else y + 3] == b + s:
+                remove(h, STRAIGHT)
+                remove(y >> 2, STRAIGHT)
+                break
+    kept = [h for h in range(n) if alive[h]]
+    if not kept:
+        return k, loops - 1, None
+    if len(kept) < n:
+        return k, loops, _reassemble(kept, mate, 0)
+    if not d.free_loops:
+        return 0, 0, d
+    bare = _trusted(
+        d.crossings,
+        0,
+        strand_components=d.strand_components,
+        _in_end=d._in_end,
+        _out_end=d._out_end,
+        _mate=d._mate,
+    )
+    return 0, loops, bare
 
 
 def lambda_poly(
@@ -132,41 +198,39 @@ def lambda_poly(
     d.check_planar()
     if memo is None and os.environ.get("LMT_NO_MEMO") != "1":
         memo = {}
-    return _lambda(d, component_order, basepoints, memo)
+    return _child(d, {}, range(len(d.crossings)), component_order, basepoints, memo)
+
+
+def _child(d, pairings, check, order, bps, memo) -> LaurentAZ:
+    # the value of d with pairings' crossings removed; the traversal
+    # choice carries over only while d's records do
+    k, loops, r = _reduce(d, pairings, check)
+    if r is None:
+        return _a_delta(k, loops)
+    if r.crossings is not d.crossings:
+        order = bps = None
+    val = _lambda(r, order, bps, memo)
+    return _a_delta(k, loops) * val if k or loops else val
 
 
 def _lambda(d, order, bps, memo) -> LaurentAZ:
+    # d is reduced, so its children need checking only where they changed:
+    # a switch can make a bigon only at the switched crossing, and a
+    # smoothing only next to the smoothed one
     if memo is not None:
-        key = (d.crossings, d.free_loops)
-        hit = memo.get(key)
+        hit = memo.get(d.crossings)
         if hit is not None:
             return hit
-    if d.free_loops and d.crossings:
-        bare = _trusted(
-            d.crossings,
-            0,
-            strand_components=d.strand_components,
-            _in_end=d._in_end,
-            _out_end=d._out_end,
-        )
-        val = DELTA ** d.free_loops * _lambda(bare, order, bps, memo)
-    elif (curl := _find_curl(d)) is not None:
-        ci, which = curl
-        sign = TAG_SIGN[d.crossings[ci].tag]
-        val = LaurentAZ.monomial(1, sign) * _lambda(d.smooth(ci, which), None, None, memo)
-    elif (bigon := _find_r2(d)) is not None:
-        val = _lambda(_remove_crossings(d, dict.fromkeys(bigon, STRAIGHT)), None, None, memo)
+    x = first_defect(d, order, bps)
+    if x is None:
+        val = _a_delta(d.self_writhe(), d.num_components - 1)
     else:
-        x = first_defect(d, order, bps)
-        if x is None:
-            val = LaurentAZ.monomial(1, d.self_writhe()) * DELTA ** (d.num_components - 1)
-        else:
-            val = -_lambda(d.switch(x), order, bps, memo) + _Z * (
-                _lambda(d.smooth(x, "A"), None, None, memo)
-                + _lambda(d.smooth(x, "B"), None, None, memo)
-            )
+        val = -_child(d.switch(x), {}, (x,), order, bps, memo) + _Z * (
+            _child(d, {x: SMOOTHING["A"]}, (), None, None, memo)
+            + _child(d, {x: SMOOTHING["B"]}, (), None, None, memo)
+        )
     if memo is not None:
-        memo[key] = val
+        memo[d.crossings] = val
     return val
 
 

@@ -147,16 +147,18 @@ class LaurentAZ:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentAZ":
+        """self ** n by squaring: at most 2 * n.bit_length() products."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = self.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def invert_a(self) -> "LaurentAZ":
         """Substitute a -> a^-1, leaving z alone."""

@@ -64,30 +64,28 @@ def poke(
             break
     else:
         raise InvalidDiagramError("the two ends do not border a common face")
-    m = d.end_matching()
-    if m[over_end] == under_end or over_end == under_end:
-        raise InvalidDiagramError("poke needs two distinct edges")
     n = len(d.crossings)
-    ha, hb = n, n + 1
-    mm = dict(m)
-    p_e, q_e = m[over_end], over_end
-    p_f, q_f = m[under_end], under_end
-    for x in (p_e, q_e, p_f, q_f):
-        del mm[x]
+    x_e = 4 * over_end[0] + over_end[1]
+    x_f = 4 * under_end[0] + under_end[1]
+    mate = list(d._mate) + [0] * 8
+    if mate[x_e] == x_f or x_e == x_f:
+        raise InvalidDiagramError("poke needs two distinct edges")
+    ha, hb = 4 * n, 4 * n + 4  # first ends of the two new crossings
+    p_e, p_f = mate[x_e], mate[x_f]
 
     def link(x, y):
-        mm[x] = y
-        mm[y] = x
+        mate[x] = y
+        mate[y] = x
 
     # The poked edge crosses over at both new crossings: its ends sit on
     # the odd slots.
-    link(p_e, (ha, 3))
-    link((ha, 1), (hb, 1))
-    link((hb, 3), q_e)
-    link(p_f, (hb, 0))
-    link((hb, 2), (ha, 0))
-    link((ha, 2), q_f)
-    return _reassemble(list(range(n)) + [ha, hb], mm, d.free_loops)
+    link(p_e, ha + 3)
+    link(ha + 1, hb + 1)
+    link(hb + 3, x_e)
+    link(p_f, hb + 0)
+    link(hb + 2, ha + 0)
+    link(ha + 2, x_f)
+    return _reassemble(range(n + 2), mate, d.free_loops)
 
 
 def first_poke(d: Diagram) -> Diagram:

@@ -114,6 +114,20 @@ def test_many_free_loops_take_closed_forms_and_verify_refuses(tmp_path, capsys):
             assert f"has {loops}" in err
 
 
+def test_compute_refuses_more_components_than_it_can_print(tmp_path, capsys):
+    # lambda of k free loops is delta^(k - 1), written out in closed form
+    path = write(tmp_path, "loops 128\n")
+    code, out, _ = run(capsys, "--porcelain", "compute", path)
+    assert code == 0
+    assert out == f"lambda={kauffman.DELTA ** 127}\n"
+    for loops in (129, 100000000):
+        path = write(tmp_path, f"loops {loops}\n")
+        code, out, err = run(capsys, "--porcelain", "compute", path, "--oriented")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "at most 128 components" in err
+        assert f"has {loops}" in err
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "compute", "/no/such/file.pd")
     assert code == 1
@@ -214,6 +228,29 @@ def test_verify_without_target(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 1
     assert "error:" in err
+
+
+def test_consecutive_calls_share_one_parser(tmp_path, capsys):
+    # one process, one parser: each call still parses its own arguments,
+    # so a run of different verbs prints what each prints alone
+    path = write(tmp_path, HOPF)
+    argvs = [
+        ["--porcelain", "compute", path, "--oriented", "--specialize"],
+        ["gtau", path],
+        ["--porcelain", "lmt", path, "--orientation", "01"],
+        ["verify", path],
+        ["compute", path],
+        ["corpus", "show"],
+        ["--porcelain", "verify", "--random", "2", "--max-crossings", "4", "--seed", "5"],
+        ["corpus", "list"],
+        ["--porcelain", "corpus", "show", "hopf_neg"],
+    ]
+    alone = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in argvs] == alone
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_corpus_list(capsys):

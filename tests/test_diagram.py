@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from lmtkauffman import kauffman
+from lmtkauffman import cli, diagram, kauffman
 from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import CORPUS
 from lmtkauffman.diagram import (
-    STRAIGHT,
     Crossing,
     Diagram,
     InternalInvariantError,
@@ -15,10 +14,9 @@ from lmtkauffman.diagram import (
     PDSyntaxError,
     parse_pd,
     _reassemble,
-    _remove_crossings,
     to_pd_text,
 )
-from lmtkauffman.kauffman import _find_r2, lambda_poly
+from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.lmt import verify_all
 from lmtkauffman.moves import add_kink, all_pokes
 
@@ -96,6 +94,34 @@ def test_non_planar_codes_rejected():
     # two split curls: 6 faces for 2 crossings overall, but 3 per piece
     split = parse_pd("Xl 1 3 3 1\nXl 4 2 2 4\n")
     assert split.num_components == 2
+
+
+def test_planarity_is_checked_once_per_diagram(monkeypatch, tmp_path, capsys):
+    # parse_pd, lambda_poly and lmt_rhs all ask; the faces are traced once
+    calls = []
+    traced = diagram.faces
+
+    def counted(d):
+        calls.append(d)
+        return traced(d)
+
+    monkeypatch.setattr(diagram, "faces", counted)
+    path = tmp_path / "hopf.pd"
+    path.write_text(HOPF_POS)
+    for verb in ("verify", "compute", "lmt"):
+        calls.clear()
+        assert cli.main([verb, str(path)]) == 0
+        assert len(calls) == 1, verb
+    capsys.readouterr()
+    # a directly built non-planar diagram is rejected at every call
+    bad = Diagram((Crossing((4, 3, 2, 1), "r"), Crossing((3, 2, 4, 1), "l")))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(InvalidDiagramError, match="cannot be drawn in the plane"):
+            bad.check_planar()
+        with pytest.raises(InvalidDiagramError, match="cannot be drawn in the plane"):
+            lambda_poly(bad)
+    assert len(calls) == 1
 
 
 def test_planar_check_separates_random_codes():
@@ -357,10 +383,13 @@ def _relabeled(d, rng):
     n = len(d.crossings)
     name = rng.sample(range(n), n)
     turn = [rng.choice((0, 2)) for _ in range(n)]
-    m = {
-        (name[h], (s + turn[h]) % 4): (name[k], (t + turn[k]) % 4)
-        for (h, s), (k, t) in d.end_matching().items()
-    }
+
+    def moved(x):
+        return 4 * name[x >> 2] + (x + turn[x >> 2]) % 4
+
+    m = [0] * (4 * n)
+    for x, y in enumerate(d._mate):
+        m[moved(x)] = moved(y)
     d = _reassemble(range(n), m, d.free_loops)
     n2 = 2 * n
     perm = list(range(1, n2 + 1))
@@ -418,7 +447,7 @@ def _audit(x):
     # structure the builder pre-filled equals the one computed afresh
     fresh = Diagram(x.crossings, x.free_loops)
     assert fresh == x
-    for name in ("strand_components", "_in_end", "_out_end", "_edge_comp"):
+    for name in ("strand_components", "_in_end", "_out_end", "_edge_comp", "_mate"):
         assert getattr(x, name) == getattr(fresh, name), name
     x.check_planar()
 
@@ -443,23 +472,33 @@ def test_trusted_constructions_match_validated_ones(monkeypatch):
         pokes = all_pokes(d, limit=6)
         outputs += pokes
         for p in pokes:
-            # each poke makes an R2 bigon, which the skein engine removes
-            outputs.append(_remove_crossings(p, dict.fromkeys(_find_r2(p), STRAIGHT)))
+            # each poke makes an R2 bigon, which the skein engine's reducer removes
+            r = kauffman._reduce(p, {}, range(len(p.crossings)))[2]
+            if r is not None:
+                assert len(r.crossings) < len(p.crossings)
+                outputs.append(r)
         for x in outputs:
             _audit(x)
-    # every diagram the skein recursion visits, loop-stripped ones included
-    visited = []
-    inner = kauffman._lambda
+    # every diagram the reducer is given and every one it builds, the
+    # loop-stripped copies of diagrams with free loops included
+    calls = []
+    inner = kauffman._reduce
 
-    def recording(x, *args):
-        visited.append(x)
-        return inner(x, *args)
+    def recording(x, pairings, check):
+        out = inner(x, pairings, check)
+        calls.append((x, out[2]))
+        return out
 
-    monkeypatch.setattr(kauffman, "_lambda", recording)
+    monkeypatch.setattr(kauffman, "_reduce", recording)
     for d in diagrams[:20]:
         lambda_poly(d.distant_union(Diagram((), 2)))
         if d.crossings:
             lambda_poly(all_pokes(d, limit=1)[0])
-    assert any(x.crossings and x.free_loops for x in visited)
-    for x in visited:
+    assert any(x.free_loops and r is not None and r.crossings is x.crossings for x, r in calls)
+    assert any(r is not None and r.crossings is not x.crossings for x, r in calls)
+    for x, r in calls:
         _audit(x)
+        if r is not None:
+            _audit(r)
+            # checked everywhere, a reduced diagram has nothing left to strip
+            assert inner(r, {}, range(len(r.crossings))) == (0, 0, r)

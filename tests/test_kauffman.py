@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lmtkauffman import kauffman
 from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import Crossing, Diagram, InvalidDiagramError, parse_pd
@@ -28,6 +29,14 @@ def test_circle_is_one():
 def test_split_circles_multiply_by_delta():
     for k in range(1, 5):
         assert lambda_poly(Diagram((), k)) == DELTA ** (k - 1)
+
+
+def test_closed_form_of_curls_and_circles():
+    power = LaurentAZ.one()
+    for loops in range(30):
+        for k in (-3, 0, 2):
+            assert kauffman._a_delta(k, loops) == LaurentAZ.monomial(1, k) * power
+        power = power * DELTA
 
 
 def test_empty_diagram_rejected():
@@ -162,6 +171,49 @@ def _plain_lambda(d):
     )
 
 
+def _has_curl(d):
+    m = d.end_matching()
+    return any(m[(h, s)] == (h, (s + 1) % 4) for h, s in m)
+
+
+def _nested_curls(d, signs):
+    # each curl after the first goes on the loop edge of the one before,
+    # so only removing the innermost makes the next one a curl
+    for positive in signs:
+        d = add_kink(d, 2 * len(d.crossings), positive)
+    return d
+
+
+def _cascading_inputs():
+    # inputs on which one reduction exposes the next
+    out = []
+    # curls nested inside curls
+    out += [_nested_curls(get("hopf_pos").diagram(), [True, False, True])]
+    out += [_nested_curls(get("trefoil_left").diagram(), [False, False, True, True])]
+    out += [_nested_curls(add_kink(Diagram((), 1)), [False, True, True, False])]
+    # a bigon of alternating levels that a switch of its crossing makes
+    # an R2 bigon: the two letters of sigma_i^2
+    for word in ([1, 1, 1, 2, 1, 2], [1, 1, 2, 1, 2], [1, 1, 1, -2, -2]):
+        d = braid_closure(word, 3)
+        x = first_defect(d)
+        assert kauffman._reduce(d, {}, range(len(d.crossings))) == (0, 0, d)
+        switched = kauffman._reduce(d.switch(x), {}, (x,))[2]
+        assert switched is None or len(switched.crossings) < len(d.crossings) - 1
+        out.append(d)
+    # a strand pushed across a curl's loop: the curl comes back only once
+    # the R2 bigon the push made is removed
+    for name in ("hopf_pos", "trefoil_right"):
+        kinked = add_kink(get(name).diagram(), 1, positive=name == "hopf_pos")
+        pokes = [p for p in all_pokes(kinked) if not _has_curl(p)][:3]
+        for p in pokes:
+            assert kauffman._reduce(p, {}, range(len(p.crossings)))[0] != 0
+        out += pokes
+    assert len(out) == 12
+    # all of these beside free loops
+    out += [d.distant_union(Diagram((), k)) for d, k in zip(out, itertools.cycle((1, 2)))]
+    return out
+
+
 def _chain(k):
     # sigma1^2 sigma2^2 ... sigma_(k-1)^2 closed: k circles, each linked
     # to the next, a connected sum of k - 1 Hopf links
@@ -189,6 +241,7 @@ def test_engine_matches_plain_recursion():
     ]
     for name in ("hopf_pos", "trefoil_right"):
         diagrams += all_pokes(get(name).diagram())
+    diagrams += _cascading_inputs()
     for d in diagrams:
         assert len(d.crossings) <= 8
         assert lambda_poly(d) == _plain_lambda(d), d
@@ -233,7 +286,10 @@ def test_curls_strip_to_a_power_of_a():
             circle = add_kink(circle, rng.randint(1, 2 * len(circle.crossings)), positive)
     assert len(d.crossings) == 13 and len(circle.crossings) == 10
     assert lambda_poly(d) == LaurentAZ.monomial(1, net) * base
-    assert lambda_poly(circle) == LaurentAZ.monomial(1, net)
+    # the curls come off before the recursion, so the circle expands no node
+    memo = {}
+    assert lambda_poly(circle, memo=memo) == LaurentAZ.monomial(1, net)
+    assert memo == {}
 
 
 def test_odd_crossings_rejected_at_engine_entry():

@@ -70,6 +70,28 @@ def test_pow():
         p ** -1
 
 
+def test_pow_squares_no_further_than_it_needs(monkeypatch):
+    # the power agrees with repeated multiplication, and squaring stops
+    # once the exponent's top bit is used: DELTA ** 1 forms no square
+    mul = LaurentAZ.__mul__
+    expected = [LaurentAZ.one()]
+    for _ in range(40):
+        expected.append(mul(expected[-1], DELTA))
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentAZ, "__mul__", counted)
+    for n in range(41):
+        calls.clear()
+        assert DELTA ** n == expected[n]
+        # one product per set bit, one square per bit below the top one
+        squares = max(0, n.bit_length() - 1)
+        assert len(calls) <= squares + bin(n).count("1") <= 2 * n.bit_length(), (n, len(calls))
+
+
 def test_divide_exact_roundtrip():
     rng = random.Random(44)
     for _ in range(300):
