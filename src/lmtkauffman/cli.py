@@ -23,15 +23,20 @@ from .transfer import g_tau
 
 
 # lambda of k components runs down to z^-(k - 1) with about k^2 / 2 terms
-# of up to k-digit coefficients: at 128 components `compute` prints 0.49 MB
-# per polynomial, and --oriented --specialize finishes in under a second;
-# 256 would print 3.5 MB and take five.
+# of up to k-digit coefficients, so the limit bounds the output: at 128
+# components `compute` prints 0.49 MB per polynomial and --oriented
+# --specialize takes 0.1 s; 256 would print 3.5 MB per polynomial and take
+# 0.6 s (timed on a 2-vCPU VM).
 MAX_COMPUTE_COMPONENTS = 128
 
 
 def _read_diagram(path: str) -> Diagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pd(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_pd(text)
 
 
 def _parse_mask(bits: str | None, d: Diagram) -> int:

@@ -14,6 +14,12 @@ their smallest edge id, with crossing-free loops last.  Orientation
 masks and sublink masks are plain ints whose bit i addresses component
 i.
 
+A diagram keeps one end structure.  End 4h + s is slot s of crossing
+h; ``_mate`` pairs each end with the end its edge runs to, and
+``_strands`` lists, per component, the ends its edges arrive at in
+traversal order.  Components, the strands at each crossing and the
+traversal order are all read from these two.
+
 The text format accepted by :func:`parse_pd` has an optional first line
 ``loops k`` followed by one crossing per line, ``Xr a b c d`` or
 ``Xl a b c d``.  ``#`` starts a comment.
@@ -97,9 +103,10 @@ class Crossing(NamedTuple):
 class Diagram:
     """An unoriented framed link diagram.
 
-    Immutable; all editing operations return new diagrams.  Derived
-    structure (components, end maps) is computed once on demand, unless
-    the operation that built the diagram already knew it.
+    Immutable; all editing operations return new diagrams.  The end
+    structure (``_mate``, ``_strands``) and what is derived from it is
+    computed once on demand, unless the operation that built the diagram
+    already knew it.
     """
 
     crossings: tuple[Crossing, ...]
@@ -131,34 +138,30 @@ class Diagram:
     # -- derived structure ------------------------------------------------
 
     @cached_property
-    def _in_end(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for i, c in enumerate(self.crossings):
-            for s, e in enumerate(c.edges):
-                if _is_in_slot(c.tag, s):
-                    out[e] = (i, s)
-        return out
-
-    @cached_property
-    def _out_end(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for i, c in enumerate(self.crossings):
-            for s, e in enumerate(c.edges):
-                if not _is_in_slot(c.tag, s):
-                    out[e] = (i, s)
-        return out
-
-    def edge_in_end(self, edge: int) -> tuple[int, int]:
-        """(crossing index, slot) where the edge enters a crossing."""
-        try:
-            return self._in_end[edge]
-        except KeyError:
-            raise InvalidDiagramError(f"no edge {edge}") from None
-
-    def next_edge(self, edge: int) -> int:
-        """The edge that continues this one through its entry crossing."""
-        i, s = self.edge_in_end(edge)
-        return self.crossings[i].edges[(s + 2) % 4]
+    def _strands(self) -> tuple[tuple[int, ...], ...]:
+        # per component, the cycle of ends (4h + s, as in _mate) that its
+        # edges arrive at, from the end where its smallest edge arrives;
+        # an edge arriving at x leaves through x ^ 2 and the next one
+        # arrives at mate[x ^ 2]
+        mate = self._mate
+        arrival = {}
+        for h, c in enumerate(self.crossings):
+            o = 3 if c.tag == "r" else 1
+            arrival[c.edges[0]] = 4 * h
+            arrival[c.edges[o]] = 4 * h + o
+        seen = [False] * len(mate)
+        strands = []
+        for e in range(1, 2 * len(self.crossings) + 1):
+            x = arrival[e]
+            if seen[x]:
+                continue
+            cyc = []
+            while not seen[x]:
+                seen[x] = True
+                cyc.append(x)
+                x = mate[x ^ 2]
+            strands.append(tuple(cyc))
+        return tuple(strands)
 
     @cached_property
     def strand_components(self) -> tuple[tuple[int, ...], ...]:
@@ -167,39 +170,24 @@ class Diagram:
         Each cycle starts at its smallest edge id and the cycles are
         ordered by that id.
         """
-        seen: set[int] = set()
-        comps = []
-        for e in range(1, 2 * len(self.crossings) + 1):
-            if e in seen:
-                continue
-            cyc = []
-            x = e
-            while x not in seen:
-                seen.add(x)
-                cyc.append(x)
-                x = self.next_edge(x)
-            comps.append(tuple(cyc))
-        return tuple(comps)
+        cs = self.crossings
+        return tuple(
+            tuple(cs[x >> 2].edges[x & 3] for x in cyc) for cyc in self._strands
+        )
 
     @property
     def num_components(self) -> int:
-        return len(self.strand_components) + self.free_loops
-
-    @cached_property
-    def _edge_comp(self) -> dict[int, int]:
-        out = {}
-        for k, cyc in enumerate(self.strand_components):
-            for e in cyc:
-                out[e] = k
-        return out
+        return len(self._strands) + self.free_loops
 
     @cached_property
     def _crossing_comps(self) -> tuple[tuple[int, int], ...]:
-        # (component of under-strand, component of over-strand) per crossing
-        return tuple(
-            (self._edge_comp[c.edges[0]], self._edge_comp[c.edges[1]])
-            for c in self.crossings
-        )
+        # (component of under-strand, component of over-strand) per
+        # crossing: the under-strand holds the even slots, the over the odd
+        comp = [0] * (4 * len(self.crossings))
+        for k, cyc in enumerate(self._strands):
+            for x in cyc:
+                comp[x] = comp[x ^ 2] = k
+        return tuple(zip(comp[0::4], comp[1::4]))
 
     @cached_property
     def _mate(self) -> tuple[int, ...]:
@@ -368,27 +356,26 @@ class Diagram:
         each one starting at its basepoint edge (default: its smallest).
         basepoints is indexed by component index, not by order position.
         """
-        comps = self.strand_components
+        strands = self._strands
         if component_order is None:
-            order: Sequence[int] = range(len(comps))
+            order: Sequence[int] = range(len(strands))
         else:
             order = tuple(component_order)
-            if sorted(order) != list(range(len(comps))):
+            if sorted(order) != list(range(len(strands))):
                 raise InvalidDiagramError(
                     "component order must be a permutation of the strand components"
                 )
         out = []
         for k in order:
-            cyc = comps[k]
-            b = cyc[0]
+            cyc = strands[k]
             if basepoints is not None:
                 b = basepoints[k]
-                if b not in cyc:
+                edges = self.strand_components[k]
+                if b not in edges:
                     raise InvalidDiagramError(f"basepoint {b} is not on component {k}")
-            i0 = cyc.index(b)
-            for e in cyc[i0:] + cyc[:i0]:
-                ci, s = self._in_end[e]
-                out.append((ci, s % 2 == 0))
+                i0 = edges.index(b)
+                cyc = cyc[i0:] + cyc[:i0]
+            out += [(x >> 2, not x & 1) for x in cyc]
         return out
 
     # -- editing ----------------------------------------------------------
@@ -401,10 +388,6 @@ class Diagram:
         c = cs[ci] = cs[ci].switched()
         # the strands run as before; only this crossing's slots move, each
         # by one place: old slot s is new slot s + turn
-        in_end = dict(self._in_end)
-        out_end = dict(self._out_end)
-        for s, e in enumerate(c.edges):
-            (in_end if _is_in_slot(c.tag, s) else out_end)[e] = (ci, s)
         b = 4 * ci
         turn = 1 if c.tag == "l" else 3
 
@@ -420,10 +403,7 @@ class Diagram:
         return _trusted(
             tuple(cs),
             self.free_loops,
-            strand_components=self.strand_components,
-            _edge_comp=self._edge_comp,
-            _in_end=in_end,
-            _out_end=out_end,
+            _strands=tuple(tuple(map(moved, cyc)) for cyc in self._strands),
             _mate=tuple(mate),
         )
 
@@ -525,9 +505,9 @@ class Diagram:
 def _trusted(crossings: tuple[Crossing, ...], free_loops: int, **derived) -> Diagram:
     """A Diagram of records that are valid by construction, left unchecked.
 
-    derived pre-fills cached structure the caller already knows, such as
-    ``strand_components``, ``_in_end`` or ``_out_end``; the rest is
-    computed on demand as for any diagram.
+    derived pre-fills the cached end structure the caller already knows,
+    ``_strands`` and ``_mate``; the rest is derived from them on demand as
+    for any diagram.
     """
     d = object.__new__(Diagram)
     d.__dict__.update(derived, crossings=crossings, free_loops=free_loops)
@@ -589,20 +569,21 @@ def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) ->
     retraversed from the smallest unused end, edges renumbered in
     traversal order, and each record's tag rederived from where the two
     passes enter.  Each traversal is a component, a run of consecutive
-    edge ids from its smallest.  The result's own end array comes along.
+    edge ids from its smallest; the ends it arrives at, in order, are the
+    result's ``_strands``, and its end array comes along too.
     """
     arc = [0] * len(mate)  # arc id at each end, 0 while unused
     under = [0] * (len(mate) // 4)  # slot where each under-strand enters
     over = under[:]
     met = [False] * len(under)
     order: list[int] = []  # handles in the order the traversal first meets them
-    comps = []
+    strands = []  # arrival ends of each traversal, from its first edge's
     next_arc = 1
     for handle in sorted(handles):
         for start in range(4 * handle, 4 * handle + 4):
             if arc[start]:
                 continue
-            first = next_arc
+            cyc = []
             cur = start
             while True:
                 h = cur >> 2
@@ -614,12 +595,11 @@ def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) ->
                 cur = mate[exit_end]
                 arc[exit_end] = arc[cur] = next_arc
                 next_arc += 1
+                cyc.append(cur)
                 if cur == start:
                     break
-            comps.append(tuple(range(first, next_arc)))
+            strands.append(cyc)
     records = []
-    in_end: dict[int, tuple[int, int]] = {}
-    out_end: dict[int, tuple[int, int]] = {}
     moved = [0] * len(mate)  # old end -> new end
     old_ends: list[int] = []
     for i, h in enumerate(order):
@@ -631,16 +611,10 @@ def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) ->
         edges = tuple(arc[x] for x in ends)
         o = (over[h] - under[h]) % 4  # record slot of the over entry, 1 or 3
         records.append(Crossing(edges, "l" if o == 1 else "r"))
-        in_end[edges[0]] = (i, 0)
-        in_end[edges[o]] = (i, o)
-        out_end[edges[2]] = (i, 2)
-        out_end[edges[o ^ 2]] = (i, o ^ 2)
     return _trusted(
         tuple(records),
         free_loops,
-        strand_components=tuple(comps),
-        _in_end=in_end,
-        _out_end=out_end,
+        _strands=tuple(tuple(moved[x] for x in cyc) for cyc in strands),
         _mate=tuple(moved[mate[x]] for x in old_ends),
     )
 
@@ -663,9 +637,14 @@ def parse_pd(text: str) -> Diagram:
         if toks[0] == "loops":
             if not header_allowed:
                 raise PDSyntaxError("loops header must be the first record", lineno)
-            if len(toks) != 2 or not toks[1].isdigit():
+            count = toks[1] if len(toks) == 2 else ""
+            try:
+                # ASCII digits only; int() refuses counts of too many digits
+                loops = int(count) if count.isascii() and count.isdigit() else -1
+            except ValueError:
+                loops = -1
+            if loops < 0:
                 raise PDSyntaxError("loops header needs one nonnegative count", lineno)
-            loops = int(toks[1])
             header_allowed = False
             continue
         header_allowed = False

@@ -167,15 +167,7 @@ def _reduce(
         return k, loops, _reassemble(kept, mate, 0)
     if not d.free_loops:
         return 0, 0, d
-    bare = _trusted(
-        d.crossings,
-        0,
-        strand_components=d.strand_components,
-        _in_end=d._in_end,
-        _out_end=d._out_end,
-        _mate=d._mate,
-    )
-    return 0, loops, bare
+    return 0, loops, _trusted(d.crossings, 0, _strands=d._strands, _mate=d._mate)
 
 
 def lambda_poly(

@@ -211,29 +211,27 @@ class LaurentAZ:
     def substitute_z(self) -> LaurentA:
         """Evaluate at z = -a - a^-1 and return the result in a alone.
 
-        Negative z exponents are cleared first by multiplying through by
-        z^N, substituting, and then dividing exactly by (-a - a^-1)^N.
-        If that division fails the value is not a Laurent polynomial in
-        a, which no well-formed invariant computed here can produce, so
-        the failure is raised as SpecializationError.
+        The terms are grouped by z exponent and the groups evaluated by
+        Horner's rule, down to z^-N for the most negative exponent -N,
+        which gives z^N times the value; one exact division by
+        (-a - a^-1)^N then removes that factor.  If the division fails
+        the value is not a Laurent polynomial in a, which no well-formed
+        invariant computed here can produce, so the failure is raised as
+        SpecializationError.
         """
         if not self:
             return LaurentA.zero()
         neg = LaurentA({1: -1, -1: -1})
-        shift = max(0, -min(z for _, z in self._terms))
-        acc = LaurentA.zero()
-        powers = {0: LaurentA.one()}
-
-        def neg_pow(k: int) -> LaurentA:
-            if k not in powers:
-                powers[k] = neg_pow(k - 1) * neg
-            return powers[k]
-
+        groups: dict[int, dict[int, int]] = {}
         for (a_exp, z_exp), c in self._terms.items():
-            acc = acc + LaurentA({a_exp: c}) * neg_pow(z_exp + shift)
+            groups.setdefault(z_exp, {})[a_exp] = c
+        shift = max(0, -min(groups))
+        acc = LaurentA.zero()
+        for z_exp in range(max(groups), -shift - 1, -1):
+            acc = acc * neg + LaurentA(groups.get(z_exp))
         if shift:
             try:
-                acc = acc.divide_exact(neg_pow(shift))
+                acc = acc.divide_exact(neg**shift)
             except NotDivisibleError:
                 raise SpecializationError("specialization not Laurent") from None
         return acc

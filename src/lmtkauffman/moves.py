@@ -37,7 +37,12 @@ def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diag
         else:
             rec = Crossing((delta, gamma, gamma, delta), "l")
         return _trusted(d.crossings + (rec,), d.free_loops - 1)
-    ci, s = d.edge_in_end(edge)
+    for edges, ends in zip(d.strand_components, d._strands):
+        if edge in edges:
+            ci, s = divmod(ends[edges.index(edge)], 4)
+            break
+    else:
+        raise InvalidDiagramError(f"no edge {edge}")
     cs = list(d.crossings)
     es = list(cs[ci].edges)
     es[s] = delta

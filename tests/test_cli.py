@@ -141,6 +141,26 @@ def test_malformed_diagram(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_loops_count_must_be_a_short_ascii_number(tmp_path, capsys):
+    # a superscript digit passes str.isdigit() and 4,301 digits are more
+    # than int() converts; neither may escape as a traceback
+    for count in ("²", "1" * 4301):
+        path = write(tmp_path, f"loops {count}\n")
+        for verb in ("compute", "gtau"):
+            code, out, err = run(capsys, verb, path)
+            assert code == 1 and out == ""
+            assert err == "error: line 1: loops header needs one nonnegative count\n"
+
+
+def test_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "d.pd"
+    p.write_bytes(b"\xff\xfe")
+    for verb in ("compute", "gtau", "lmt", "verify"):
+        code, out, err = run(capsys, verb, str(p))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {p}: not UTF-8 text")
+
+
 def test_non_planar_diagram_is_invalid_input(tmp_path, capsys):
     path = write(tmp_path, "Xr 1 2 1 2\n")
     for verb in ("verify", "lmt", "compute"):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import edge_walk
 import pytest
 
 from lmtkauffman import cli, diagram, kauffman
@@ -303,6 +304,38 @@ def test_passages_and_basepoints():
         d.passages(basepoints=(2, 4))
 
 
+def test_strand_structure_matches_an_edge_walk():
+    # components, the strands at each crossing and the traversal, read
+    # from the end structure, against a walk over edge ids; the outputs of
+    # switch, smoothing, curls and pokes carry the structure the operation
+    # that made them handed over
+    rng = random.Random(16)
+    bases = [e.diagram() for e in CORPUS] + [random_closure(rng, 7) for _ in range(40)]
+    checked = 0
+    for d in bases:
+        family = [d]
+        for ci in range(len(d.crossings)):
+            family += [d.switch(ci), d.smooth(ci, "A"), d.smooth(ci, "B")]
+        for e in range(1, 2 * len(d.crossings) + 1):
+            family.append(add_kink(d, e, positive=e % 2 == 0))
+        if d.free_loops:
+            family.append(add_kink(d))
+        family += all_pokes(d)
+        for x in family:
+            comps = edge_walk.components(x)
+            assert x.strand_components == comps
+            assert x.num_components == len(comps) + x.free_loops
+            assert x._crossing_comps == edge_walk.crossing_comps(x)
+            assert x.passages() == edge_walk.passages(x)
+            order = rng.sample(range(len(comps)), len(comps))
+            bps = [rng.choice(c) for c in comps]
+            want = edge_walk.passages(x, order, bps)
+            assert x.passages(component_order=order, basepoints=bps) == want
+            assert x.passages(order, dict(enumerate(bps))) == want
+            checked += 1
+    assert checked > 3000
+
+
 def test_to_pd_text_roundtrip():
     rng = random.Random(10)
     for _ in range(60):
@@ -447,7 +480,7 @@ def _audit(x):
     # structure the builder pre-filled equals the one computed afresh
     fresh = Diagram(x.crossings, x.free_loops)
     assert fresh == x
-    for name in ("strand_components", "_in_end", "_out_end", "_edge_comp", "_mate"):
+    for name in ("strand_components", "_strands", "_crossing_comps", "_mate"):
         assert getattr(x, name) == getattr(fresh, name), name
     x.check_planar()
 

@@ -3,10 +3,13 @@
 ``g_tau`` and ``lmt_rhs`` sum over all 2^com masks as a product over the
 pieces of the linking graph, and ``writhe`` and ``linking_number`` read
 a per-pair sign table.  The references here enumerate every mask and
-every sublink and re-sum every crossing through ``crossing_sign``.
+every sublink and re-sum every crossing through ``crossing_sign``, with
+the components at each crossing taken from a walk over edge ids.
 """
 
 import random
+
+import edge_walk
 
 from lmtkauffman.braid import random_closure
 from lmtkauffman.corpus import CORPUS
@@ -22,9 +25,9 @@ def _plain_signs(d, mask):
     return [d.crossing_sign(ci, mask) for ci in range(len(d.crossings))]
 
 
-def _plain_linking(d, signs, submask):
+def _plain_linking(comps, signs, submask):
     total = 0
-    for (u, o), sign in zip(d._crossing_comps, signs):
+    for (u, o), sign in zip(comps, signs):
         if u != o and ((submask >> u) ^ (submask >> o)) & 1:
             total += sign
     assert total % 2 == 0
@@ -42,9 +45,10 @@ def _plain_g_tau(d):
 def _plain_lmt_rhs(d, mask):
     # also checks linking_number on every sublink of this mask
     signs = _plain_signs(d, mask)
+    comps = edge_walk.crossing_comps(d)
     terms = {}
     for s in range(1 << d.num_components):
-        lk = _plain_linking(d, signs, s)
+        lk = _plain_linking(comps, signs, s)
         assert d.linking_number(mask, s) == lk, (mask, s)
         terms[-4 * lk] = terms.get(-4 * lk, 0) + 1
     assert all(c % 2 == 0 for c in terms.values())

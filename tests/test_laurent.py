@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from lmtkauffman.braid import random_closure
+from lmtkauffman.kauffman import _a_delta, f_oriented, lambda_poly
 from lmtkauffman.laurent import (
     LaurentA,
     LaurentAZ,
@@ -158,6 +160,47 @@ def test_substitute_z_is_a_ring_map():
 def test_substitute_z_not_laurent():
     with pytest.raises(SpecializationError):
         LaurentAZ({(0, -1): 1}).substitute_z()
+
+
+def _per_term_substitute_z(p):
+    # every term times its own power of -a - a^-1 after clearing negative
+    # z powers, then one exact division by the power that cleared them
+    if not p:
+        return LaurentA.zero()
+    neg = LaurentA({1: -1, -1: -1})
+    shift = max(0, -min(z for _, z in p.terms))
+    acc = LaurentA.zero()
+    for (a_exp, z_exp), c in p.terms.items():
+        acc = acc + LaurentA({a_exp: c}) * neg ** (z_exp + shift)
+    try:
+        return acc.divide_exact(neg**shift)
+    except NotDivisibleError:
+        raise SpecializationError("specialization not Laurent") from None
+
+
+def test_substitute_z_matches_per_term_evaluation():
+    rng = random.Random(46)
+    for _ in range(40):
+        d = random_closure(rng, 7)
+        for p in (lambda_poly(d), f_oriented(d)):
+            assert p.substitute_z() == _per_term_substitute_z(p)
+    # arbitrary polynomials, most with no Laurent specialization
+    outcomes = set()
+    for _ in range(200):
+        p = rand_az(rng)
+        try:
+            want = _per_term_substitute_z(p)
+        except SpecializationError:
+            with pytest.raises(SpecializationError):
+                p.substitute_z()
+            outcomes.add("refused")
+        else:
+            assert p.substitute_z() == want
+            outcomes.add("value")
+    assert outcomes == {"refused", "value"}
+    # delta^(k - 1), the value of k free loops, collapses to (-2)^(k - 1)
+    for k in range(1, 129):
+        assert _a_delta(0, k - 1).substitute_z() == LaurentA({0: (-2) ** (k - 1)})
 
 
 def test_format_examples():
