@@ -16,8 +16,8 @@ import sys
 from . import corpus
 from .braid import random_closure
 from .diagram import Diagram, DiagramError, InternalInvariantError, parse_pd
-from .kauffman import EmptyDiagramError, lambda_poly
-from .laurent import LaurentAZ, PolySyntaxError, SpecializationError
+from .kauffman import lambda_poly
+from .laurent import LaurentAZ, SpecializationError
 from .lmt import lmt_rhs, verify_all
 from .transfer import g_tau
 
@@ -216,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DiagramError, PolySyntaxError, EmptyDiagramError) as exc:
+    except (OSError, DiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InternalInvariantError, SpecializationError) as exc:

@@ -25,14 +25,16 @@ The text format accepted by :func:`parse_pd` has an optional first line
 ``Xl a b c d``.  ``#`` starts a comment.
 
 Input is validated once, where it enters: ``Diagram(...)`` checks edge
-ids and roles, and :func:`parse_pd`, ``lambda_poly`` and ``lmt_rhs``
-check planarity.  Edits that are valid by construction (switch, mirror,
-smoothing, R2 removal, union, braid closure, curls, pokes) build
-trusted diagrams through ``_trusted``, which skips the checks.
+ids and roles and that the records can be drawn in the plane, so every
+diagram is well formed and planar.  Edits that are valid by construction
+(switch, mirror, smoothing, R2 removal, union, braid closure, curls,
+pokes) build trusted diagrams through ``_trusted``, which skips the
+checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -70,16 +72,6 @@ SMOOTHING = {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0)}
 STRAIGHT = (2, 3, 0, 1)
 
 
-def _is_in_slot(tag: str, slot: int) -> bool:
-    if slot == 0:
-        return True
-    if slot == 2:
-        return False
-    if tag == "r":
-        return slot == 3
-    return slot == 1
-
-
 class Crossing(NamedTuple):
     """One crossing record: four edge ids counterclockwise plus a tag."""
 
@@ -113,27 +105,68 @@ class Diagram:
     free_loops: int = 0
 
     def __post_init__(self):
+        """Reject records that are malformed or that no planar diagram has.
+
+        The edge checks come first: ids 1..2n, each joining the end where
+        it leaves one crossing to the end where it enters one.  Then two
+        distinct components of a planar diagram cross an even number of
+        times, and a signed count has the parity of the plain one.  Last,
+        each connected piece of n crossings (n vertices, 2n edges) must
+        have n + 2 faces, as V - E + F = 2; on a surface of genus g it has
+        2g fewer.  :func:`faces` traces each piece on its own, so a split
+        union has an outer face per piece.  No piece has more than n + 2,
+        so the total count over all pieces decides.
+        """
         if self.free_loops < 0:
             raise InvalidDiagramError("negative free loop count")
         n = len(self.crossings)
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for i, c in enumerate(self.crossings):
+        arrives = [False] * (4 * n)  # per end, as in _mate
+        for h, c in enumerate(self.crossings):
             if c.tag not in ("r", "l"):
-                raise InvalidDiagramError(f"crossing {i}: unknown tag {c.tag!r}")
+                raise InvalidDiagramError(f"crossing {h}: unknown tag {c.tag!r}")
             if len(c.edges) != 4:
-                raise InvalidDiagramError(f"crossing {i}: needs exactly 4 edges")
-            for s, e in enumerate(c.edges):
-                occ.setdefault(e, []).append((i, s))
-        if set(occ) != set(range(1, 2 * n + 1)):
+                raise InvalidDiagramError(f"crossing {h}: needs exactly 4 edges")
+            # the arrival rule of _strands: slot 0 and the over-strand entry
+            arrives[4 * h] = arrives[4 * h + (3 if c.tag == "r" else 1)] = True
+        ends = [e for c in self.crossings for e in c.edges]
+        uses = Counter(ends)
+        if uses.keys() != set(range(1, 2 * n + 1)):
             raise InvalidDiagramError("edge ids must be exactly 1..2n")
-        for e, places in occ.items():
-            if len(places) != 2:
-                raise InvalidDiagramError(f"edge {e} appears {len(places)} times, expected 2")
-            roles = sorted(_is_in_slot(self.crossings[i].tag, s) for i, s in places)
-            if roles != [False, True]:
+        # built once and kept; an edge used twice has its two ends paired
+        mate = self._mate
+        for x, e in enumerate(ends):
+            if uses[e] != 2:
+                raise InvalidDiagramError(f"edge {e} appears {uses[e]} times, expected 2")
+            if arrives[x] == arrives[mate[x]]:
                 raise InvalidDiagramError(
                     f"edge {e} must leave one crossing and enter one crossing"
                 )
+        for (u, o), c in self._sign_table[1].items():
+            if c % 2:
+                k = sum(1 for p in self._crossing_comps if p in ((u, o), (o, u)))
+                raise InvalidDiagramError(
+                    f"components {u} and {o} cross an odd number of times ({k}), "
+                    "which no planar diagram allows"
+                )
+        piece = list(range(n))
+
+        def root(i: int) -> int:
+            while piece[i] != i:
+                piece[i] = piece[piece[i]]
+                i = piece[i]
+            return i
+
+        fs = faces(self)
+        for f in fs:
+            r = root(f[0][0])
+            for ci, _ in f:
+                piece[root(ci)] = r
+        pieces = sum(1 for i in range(n) if piece[i] == i)
+        if len(fs) != n + 2 * pieces:
+            raise InvalidDiagramError(
+                f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
+                f"not {n + 2 * pieces}, so they cannot be drawn in the plane"
+            )
 
     # -- derived structure ------------------------------------------------
 
@@ -221,10 +254,7 @@ class Diagram:
         if not 0 <= ci < len(self.crossings):
             raise InvalidDiagramError(f"crossing not found: {ci}")
         self._check_mask(mask, "orientation mask")
-        return self._sign(ci, mask)
-
-    def _sign(self, ci: int, mask: int) -> int:
-        # crossing_sign unchecked: one reversed strand flips the sign, two keep it
+        # one reversed strand flips the sign, two keep it
         u, o = self._crossing_comps[ci]
         sign = TAG_SIGN[self.crossings[ci].tag]
         return -sign if ((mask >> u) ^ (mask >> o)) & 1 else sign
@@ -295,53 +325,6 @@ class Diagram:
                 "odd crossing count between a sublink and its complement"
             )
         return total // 2
-
-    def check_planar(self) -> None:
-        """Reject crossing data that no planar diagram has.
-
-        First, for its clearer message: two distinct components of a
-        planar diagram cross an even number of times, and a signed count
-        has the parity of the plain one.  Then each connected piece of n
-        crossings (n vertices, 2n edges) must have n + 2 faces, as
-        V - E + F = 2; on a surface of genus g it has 2g fewer.
-        :func:`faces` traces each piece on its own, so a split union
-        has an outer face per piece.  No piece has more than n + 2, so
-        the total count over all pieces decides.  The verdict is kept on
-        the diagram, so later calls cost nothing.
-        """
-        if self._planarity_error is not None:
-            raise InvalidDiagramError(self._planarity_error)
-
-    @cached_property
-    def _planarity_error(self) -> str | None:
-        for (u, o), c in self._sign_table[1].items():
-            if c % 2:
-                k = sum(1 for p in self._crossing_comps if p in ((u, o), (o, u)))
-                return (
-                    f"components {u} and {o} cross an odd number of times ({k}), "
-                    "which no planar diagram allows"
-                )
-        piece = list(range(len(self.crossings)))
-
-        def root(i: int) -> int:
-            while piece[i] != i:
-                piece[i] = piece[piece[i]]
-                i = piece[i]
-            return i
-
-        fs = faces(self)
-        for f in fs:
-            r = root(f[0][0])
-            for ci, _ in f:
-                piece[root(ci)] = r
-        n = len(piece)
-        pieces = sum(1 for i in range(n) if piece[i] == i)
-        if len(fs) != n + 2 * pieces:
-            return (
-                f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
-                f"not {n + 2 * pieces}, so they cannot be drawn in the plane"
-            )
-        return None
 
     # -- traversal --------------------------------------------------------
 
@@ -624,7 +607,7 @@ def parse_pd(text: str) -> Diagram:
 
     Edge ids in the text may be any distinct positive integers; they are
     renumbered to 1..2n preserving order.  Crossing data that no planar
-    diagram has is rejected, see :meth:`Diagram.check_planar`.
+    diagram has is rejected, see :class:`Diagram`.
     """
     loops = 0
     records: list[Crossing] = []
@@ -658,15 +641,16 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError("edge ids must be integers", lineno) from None
         if any(e <= 0 for e in edges):
             raise PDSyntaxError("edge ids must be positive", lineno)
+        if not all(t.isascii() and t.isdigit() for t in toks[1:]):
+            # int() also reads signs, underscores and non-ASCII digits
+            raise PDSyntaxError("edge ids must be integers", lineno)
         records.append(Crossing(edges, toks[0][1]))
     ids = sorted({e for c in records for e in c.edges})
     remap = {e: i for i, e in enumerate(ids, start=1)}
     normalized = tuple(
         Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in records
     )
-    d = Diagram(normalized, loops)
-    d.check_planar()
-    return d
+    return Diagram(normalized, loops)
 
 
 def to_pd_text(d: Diagram) -> str:

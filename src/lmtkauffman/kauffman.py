@@ -68,7 +68,7 @@ import os
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .diagram import SMOOTHING, STRAIGHT, Diagram, _reassemble, _trusted, _unplug
+from .diagram import SMOOTHING, STRAIGHT, Diagram, DiagramError, _reassemble, _trusted, _unplug
 from .laurent import LaurentA, LaurentAZ
 
 # Value of one extra split circle.
@@ -77,7 +77,7 @@ DELTA = LaurentAZ({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
 _Z = LaurentAZ({(0, 1): 1})
 
 
-class EmptyDiagramError(ValueError):
+class EmptyDiagramError(DiagramError):
     """The invariant is defined for nonempty links only."""
 
 
@@ -181,13 +181,12 @@ def lambda_poly(
 
     component_order and basepoints pick the traversal; any choice gives
     the same polynomial.  memo, if given, is shared across calls, which
-    is safe for exactly that reason.  A diagram that is not planar
-    (``Diagram.check_planar``) has no such value; it raises
-    InvalidDiagramError.
+    is safe for exactly that reason.  Every diagram is planar (its
+    constructor refuses records that are not), so every nonempty one has
+    a value.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
-    d.check_planar()
     if memo is None and os.environ.get("LMT_NO_MEMO") != "1":
         memo = {}
     return _child(d, {}, range(len(d.crossings)), component_order, basepoints, memo)

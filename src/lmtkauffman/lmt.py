@@ -47,12 +47,11 @@ def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
 
     A pair that S separates adds C[u, o] * e_u * e_o to 2 lk(S, rest),
     so it weighs -2 times that in the exponent, and 0 when S keeps the
-    pair together.  A diagram that is not planar (``Diagram.check_planar``)
-    raises InvalidDiagramError: if two components cross an odd number of
-    times it has no integral linking numbers.
+    pair together.  Two components of a diagram cross an even number of
+    times (its constructor refuses records that are not planar), so the
+    linking numbers are integers.
     """
     com = summed_components(d, "sublink sum")
-    d.check_planar()
     weights = {pair: (0, -2 * c) for pair, c in d.pair_signs(mask).items()}
     total = sum_over_masks(com, weights)
     sign = (-1) ** (com - 1)

@@ -152,6 +152,24 @@ def test_loops_count_must_be_a_short_ascii_number(tmp_path, capsys):
             assert err == "error: line 1: loops header needs one nonnegative count\n"
 
 
+def test_edge_ids_must_be_ascii_digits(tmp_path, capsys):
+    # int() also reads underscores, a sign and non-ASCII digits; ids that
+    # int() refuses or that are not positive keep their messages
+    for ids, message in (
+        ("1_0 1_0 2 2", "edge ids must be integers"),
+        ("+1 +1 2 2", "edge ids must be integers"),
+        ("١ ١ 2 2", "edge ids must be integers"),
+        ("1 1 2 " + "2" * 4301, "edge ids must be integers"),
+        ("0 0 2 2", "edge ids must be positive"),
+        ("-3 -3 2 2", "edge ids must be positive"),
+    ):
+        path = write(tmp_path, f"Xr {ids}\n")
+        for verb in ("compute", "gtau"):
+            code, out, err = run(capsys, verb, path)
+            assert code == 1 and out == ""
+            assert err == f"error: line 1: {message}\n"
+
+
 def test_file_that_is_not_utf8(tmp_path, capsys):
     p = tmp_path / "d.pd"
     p.write_bytes(b"\xff\xfe")

@@ -18,8 +18,9 @@ from lmtkauffman.diagram import (
     to_pd_text,
 )
 from lmtkauffman.kauffman import lambda_poly
-from lmtkauffman.lmt import verify_all
+from lmtkauffman.lmt import lmt_rhs, verify_all
 from lmtkauffman.moves import add_kink, all_pokes
+from lmtkauffman.transfer import g_tau
 
 KINK_POS = "Xr 1 1 2 2\n"
 KINK_NEG = "Xl 1 2 2 1\n"
@@ -97,8 +98,36 @@ def test_non_planar_codes_rejected():
     assert split.num_components == 2
 
 
+def test_constructor_refusals_and_their_order():
+    # edge checks before planarity; among the edges, the first to appear
+    # that fails says why, whether by its count or by its roles
+    def refused(crossings, free_loops=0):
+        with pytest.raises(InvalidDiagramError) as exc:
+            Diagram(tuple(Crossing(e, t) for e, t in crossings), free_loops)
+        return str(exc.value)
+
+    assert refused([], -1) == "negative free loop count"
+    assert refused([((1, 2, 1, 2), "q")]) == "crossing 0: unknown tag 'q'"
+    assert refused([((1, 1, 2), "r")]) == "crossing 0: needs exactly 4 edges"
+    assert refused([((1, 1, 2, 5), "r")]) == "edge ids must be exactly 1..2n"
+    assert refused([((1, 1, 1, 2), "r")]) == "edge 1 appears 3 times, expected 2"
+    assert (
+        refused([((1, 2, 2, 1), "r"), ((3, 3, 3, 4), "r")])
+        == "edge 1 must leave one crossing and enter one crossing"
+    )
+    assert (
+        refused([((1, 2, 1, 2), "r")])
+        == "components 0 and 1 cross an odd number of times (1), which no planar diagram allows"
+    )
+    assert refused([((4, 3, 2, 1), "r"), ((3, 2, 4, 1), "l")]) == (
+        "2 crossings in 1 connected piece(s) have 2 faces, not 4, "
+        "so they cannot be drawn in the plane"
+    )
+
+
 def test_planarity_is_checked_once_per_diagram(monkeypatch, tmp_path, capsys):
-    # parse_pd, lambda_poly and lmt_rhs all ask; the faces are traced once
+    # the constructor that parse_pd calls traces the faces, and no verb
+    # traces them again
     calls = []
     traced = diagram.faces
 
@@ -114,21 +143,18 @@ def test_planarity_is_checked_once_per_diagram(monkeypatch, tmp_path, capsys):
         assert cli.main([verb, str(path)]) == 0
         assert len(calls) == 1, verb
     capsys.readouterr()
-    # a directly built non-planar diagram is rejected at every call
-    bad = Diagram((Crossing((4, 3, 2, 1), "r"), Crossing((3, 2, 4, 1), "l")))
+    # a directly built non-planar diagram is refused at construction
     calls.clear()
-    for _ in range(2):
-        with pytest.raises(InvalidDiagramError, match="cannot be drawn in the plane"):
-            bad.check_planar()
-        with pytest.raises(InvalidDiagramError, match="cannot be drawn in the plane"):
-            lambda_poly(bad)
+    with pytest.raises(InvalidDiagramError, match="cannot be drawn in the plane"):
+        Diagram((Crossing((4, 3, 2, 1), "r"), Crossing((3, 2, 4, 1), "l")))
     assert len(calls) == 1
 
 
 def test_planar_check_separates_random_codes():
-    # random records that pass Diagram's edge checks: the ones the
-    # planarity check accepts get one value for every component order
-    # and verify, and it rejects some
+    # random records with each edge id twice: Diagram refuses some for
+    # their edge roles and some as non-planar; the ones it accepts get one
+    # value for every component order, and the mask sums, verify and
+    # every linking number run without an engine error
     rng = random.Random(13)
     accepted = rejected = 0
     while accepted + rejected < 200:
@@ -138,18 +164,19 @@ def test_planar_check_separates_random_codes():
         cs = tuple(Crossing(tuple(ids[4 * i : 4 * i + 4]), rng.choice("rl")) for i in range(n))
         try:
             d = Diagram(cs)
-        except InvalidDiagramError:
-            continue
-        try:
-            d.check_planar()
-        except InvalidDiagramError:
-            rejected += 1
+        except InvalidDiagramError as exc:
+            if "odd number" in str(exc) or "cannot be drawn in the plane" in str(exc):
+                rejected += 1
             continue
         accepted += 1
         k = len(d.strand_components)
         values = {lambda_poly(d, component_order=o) for o in itertools.permutations(range(k))}
         assert len(values) == 1, d
+        g_tau(d)
+        lmt_rhs(d)
         assert all(r.passed for r in verify_all(d)), d
+        for submask in range(1 << d.num_components):
+            d.linking_number(0, submask)
     assert accepted > 50 and rejected > 50
 
 
@@ -476,13 +503,13 @@ def test_internal_invariant_error_is_runtime_error():
 
 
 def _audit(x):
-    # the validating constructor accepts a trusted diagram, and every
-    # structure the builder pre-filled equals the one computed afresh
+    # the validating constructor accepts a trusted diagram, so it is well
+    # formed and planar, and every structure the builder pre-filled equals
+    # the one computed afresh
     fresh = Diagram(x.crossings, x.free_loops)
     assert fresh == x
     for name in ("strand_components", "_strands", "_crossing_comps", "_mate"):
         assert getattr(x, name) == getattr(fresh, name), name
-    x.check_planar()
 
 
 def test_trusted_constructions_match_validated_ones(monkeypatch):
