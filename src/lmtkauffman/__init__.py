@@ -20,23 +20,10 @@ from .kauffman import (
     lambda_poly,
     specialized_f,
 )
-from .laurent import (
-    LaurentA,
-    LaurentAZ,
-    NotDivisibleError,
-    PolySyntaxError,
-    SpecializationError,
-    format_poly,
-    parse_poly,
-)
+from .laurent import LaurentA, LaurentAZ, NotDivisibleError, SpecializationError, format_poly
 from .lmt import check_reversal_writhe, lmt_rhs, verify_all, verify_sublink_formula
 from .report import VerificationReport
-from .transfer import (
-    check_skein_identity,
-    check_specialization_identity,
-    g_tau,
-    orientations,
-)
+from .transfer import check_skein_identity, check_specialization_identity, g_tau
 
 __version__ = "0.1.0"
 
@@ -53,7 +40,6 @@ __all__ = [
     "NotDivisibleError",
     "OrientationMask",
     "PDSyntaxError",
-    "PolySyntaxError",
     "SpecializationError",
     "SublinkMask",
     "VerificationReport",
@@ -66,9 +52,7 @@ __all__ = [
     "g_tau",
     "lambda_poly",
     "lmt_rhs",
-    "orientations",
     "parse_pd",
-    "parse_poly",
     "random_closure",
     "random_knot_closure",
     "random_word",

@@ -39,29 +39,12 @@ def braid_closure(word: Sequence[int], strands: int) -> Diagram:
         else:
             raw.append(("r", (a, c, d, b)))
         cur[i - 1], cur[i] = c, d
-
-    parent = list(range(next_id))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-
-    for p in range(strands):
-        union(cur[p], p + 1)
-    merged = [
-        (tag, tuple(find(e) for e in edges)) for tag, edges in raw
-    ]
+    # the closure joins the last edge at each position to its first, edge
+    # p + 1; a position no letter touches keeps edge p + 1 and is a loop
+    joined = {cur[p]: p + 1 for p in range(strands)}
+    merged = [(tag, tuple(joined.get(e, e) for e in edges)) for tag, edges in raw]
     used = {e for _, edges in merged for e in edges}
-    classes = {find(e) for e in range(1, next_id)}
-    loops = len(classes - used)
+    loops = sum(cur[p] == p + 1 for p in range(strands))
     remap = {e: i for i, e in enumerate(sorted(used), start=1)}
     records = tuple(
         Crossing(tuple(remap[e] for e in edges), tag) for tag, edges in merged

@@ -63,6 +63,10 @@ class InternalInvariantError(RuntimeError):
 # Crossing sign under the reference orientation, keyed by tag.
 TAG_SIGN = {"r": 1, "l": -1}
 
+# Record slot where the over-strand enters, keyed by tag.  Edges arrive at
+# slot 0 and this slot of a record and leave from the other two.
+_OVER_ENTRY = {"r": 3, "l": 1}
+
 OrientationMask = int
 SublinkMask = int
 
@@ -126,8 +130,7 @@ class Diagram:
                 raise InvalidDiagramError(f"crossing {h}: unknown tag {c.tag!r}")
             if len(c.edges) != 4:
                 raise InvalidDiagramError(f"crossing {h}: needs exactly 4 edges")
-            # the arrival rule of _strands: slot 0 and the over-strand entry
-            arrives[4 * h] = arrives[4 * h + (3 if c.tag == "r" else 1)] = True
+            arrives[4 * h] = arrives[4 * h + _OVER_ENTRY[c.tag]] = True
         ends = [e for c in self.crossings for e in c.edges]
         uses = Counter(ends)
         if uses.keys() != set(range(1, 2 * n + 1)):
@@ -158,9 +161,9 @@ class Diagram:
 
         fs = faces(self)
         for f in fs:
-            r = root(f[0][0])
-            for ci, _ in f:
-                piece[root(ci)] = r
+            r = root(f[0] >> 2)
+            for x in f:
+                piece[root(x >> 2)] = r
         pieces = sum(1 for i in range(n) if piece[i] == i)
         if len(fs) != n + 2 * pieces:
             raise InvalidDiagramError(
@@ -179,7 +182,7 @@ class Diagram:
         mate = self._mate
         arrival = {}
         for h, c in enumerate(self.crossings):
-            o = 3 if c.tag == "r" else 1
+            o = _OVER_ENTRY[c.tag]
             arrival[c.edges[0]] = 4 * h
             arrival[c.edges[o]] = 4 * h + o
         seen = [False] * len(mate)
@@ -236,10 +239,6 @@ class Diagram:
                 mate[x] = y
                 mate[y] = x
         return tuple(mate)
-
-    def end_matching(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Pair each crossing end with the end its edge runs to."""
-        return {(x >> 2, x & 3): (y >> 2, y & 3) for x, y in enumerate(self._mate)}
 
     # -- orientation data -------------------------------------------------
 
@@ -337,7 +336,9 @@ class Diagram:
 
         Components are walked in component_order (default: as indexed),
         each one starting at its basepoint edge (default: its smallest).
-        basepoints is indexed by component index, not by order position.
+        basepoints is indexed by component index, not by order position:
+        a sequence with one edge per strand component, or a mapping with
+        exactly the component indices as keys.
         """
         strands = self._strands
         if component_order is None:
@@ -347,6 +348,13 @@ class Diagram:
             if sorted(order) != list(range(len(strands))):
                 raise InvalidDiagramError(
                     "component order must be a permutation of the strand components"
+                )
+        if basepoints is not None:
+            keys = basepoints if isinstance(basepoints, Mapping) else range(len(basepoints))
+            if set(keys) != set(range(len(strands))):
+                raise InvalidDiagramError(
+                    f"basepoints must name one edge on each of the {len(strands)} "
+                    "strand components"
                 )
         out = []
         for k in order:
@@ -372,7 +380,7 @@ class Diagram:
         # the strands run as before; only this crossing's slots move, each
         # by one place: old slot s is new slot s + turn
         b = 4 * ci
-        turn = 1 if c.tag == "l" else 3
+        turn = _OVER_ENTRY[c.tag]  # the old under entry is the new over entry
 
         def moved(x: int) -> int:
             return b + (x + turn) % 4 if x >> 2 == ci else x
@@ -445,9 +453,9 @@ class Diagram:
         >>> relabeled.canonical_code() == hopf.canonical_code()
         True
         """
-        m = self.end_matching()
+        mate = self._mate
 
-        def walk(start: tuple[int, int]) -> tuple[list[int], dict[int, int]]:
+        def walk(start: int) -> tuple[list[int], dict[int, int]]:
             # the event stream from one end, and the labels of the piece;
             # first holds the crossings visited once, in label order
             stream: list[int] = []
@@ -456,8 +464,9 @@ class Diagram:
             begin = start
             while True:
                 stream.append(-1)
-                h, s = begin
+                x = begin
                 while True:
+                    h, s = x >> 2, x & 3
                     stream += (s % 2, label.setdefault(h, len(label)))
                     f = first.pop(h, None)
                     if f is None:
@@ -465,20 +474,20 @@ class Diagram:
                     else:
                         u, o = (s, f) if s % 2 == 0 else (f, s)
                         stream.append(0 if o == (u + 1) % 4 else 1)
-                    h, s = m[(h, (s + 2) % 4)]
-                    if (h, s) == begin:
+                    x = mate[x ^ 2]
+                    if x == begin:
                         break
                 if not first:
                     return stream, label
                 h, f = next(iter(first.items()))
-                begin = (h, (f + 1) % 4)
+                begin = 4 * h + (f + 1) % 4
 
         pieces = []
         left = set(range(len(self.crossings)))
         while left:
-            _, piece = walk((min(left), 0))
+            _, piece = walk(4 * min(left))
             left.difference_update(piece)
-            pieces.append(min(walk((h, s))[0] for h in piece for s in range(4)))
+            pieces.append(min(walk(x)[0] for h in piece for x in range(4 * h, 4 * h + 4)))
         return "|".join(
             [f"{self.free_loops},{len(self.crossings)}"]
             + [",".join(map(str, p)) for p in sorted(pieces)]
@@ -519,12 +528,12 @@ def _unplug(mate: list[int], h: int, pairing: Sequence[int]) -> int:
     return loops
 
 
-def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:
+def faces(d: Diagram) -> list[tuple[int, ...]]:
     """Faces of the diagram as cycles of arrival ends.
 
-    An arrival end is the (crossing, slot) an edge runs into; turning
-    right there, the next boundary edge of the same face is the one
-    arriving from slot - 1.
+    An arrival end is the end 4h + s (slot s of crossing h) an edge runs
+    into; turning right there, the next boundary edge of the same face is
+    the one arriving from slot s - 1.
     """
     mate = d._mate
     seen = [False] * len(mate)
@@ -536,7 +545,7 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int], ...]]:
         x = start
         while not seen[x]:
             seen[x] = True
-            face.append((x >> 2, x & 3))
+            face.append(x)
             x = mate[x - 1 if x & 3 else x + 3]
         out.append(tuple(face))
     return out

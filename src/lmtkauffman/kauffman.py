@@ -179,14 +179,17 @@ def lambda_poly(
 ) -> LaurentAZ:
     """The framed-link polynomial of the diagram.
 
-    component_order and basepoints pick the traversal; any choice gives
-    the same polynomial.  memo, if given, is shared across calls, which
-    is safe for exactly that reason.  Every diagram is planar (its
-    constructor refuses records that are not), so every nonempty one has
-    a value.
+    component_order and basepoints pick the traversal, as for
+    ``Diagram.passages``, which refuses a malformed choice even where the
+    first reductions leave it unused; any valid choice gives the same
+    polynomial.  memo, if given, is shared across calls, which is safe
+    for exactly that reason.  Every diagram is planar (its constructor
+    refuses records that are not), so every nonempty one has a value.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
+    if component_order is not None or basepoints is not None:
+        d.passages(component_order, basepoints)
     if memo is None and os.environ.get("LMT_NO_MEMO") != "1":
         memo = {}
     return _child(d, {}, range(len(d.crossings)), component_order, basepoints, memo)

@@ -7,11 +7,10 @@ of a exponents only.  Coefficients are Python ints, so nothing here can
 overflow.  The term dict is canonical (no zero coefficients), which makes
 equality and hashing structural, also between the two classes.
 
-The text form used by :func:`parse_poly` and :func:`format_poly` is a sum
-of signed monomials ``c*a^i*z^j`` with optional parts, for example
-``-2*a^-1 + z^2`` or ``a + a^-1``.  Terms are printed in ascending order
-of ``(a exponent, z exponent)``, and parsing the printed form gives back
-an equal polynomial.
+:func:`format_poly` prints the text form, a sum of signed monomials
+``c*a^i*z^j`` with the parts equal to 1 left out, for example
+``-2*a^-1 + z^2`` or ``a + a^-1``.  Terms come in ascending order of
+``(a exponent, z exponent)``, so equal polynomials print alike.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ class NotDivisibleError(ArithmeticError):
 
 class SpecializationError(ArithmeticError):
     """Substituting z did not produce a Laurent polynomial in a."""
-
-
-class PolySyntaxError(ValueError):
-    """Polynomial text that does not match the monomial grammar."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
 
 
 def _coerce(other):
@@ -94,9 +85,6 @@ class LaurentAZ:
     @property
     def terms(self) -> dict:
         return dict(self._terms)
-
-    def coeff(self, a_exp: int, z_exp: int) -> int:
-        return self._terms.get((a_exp, z_exp), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -163,9 +151,6 @@ class LaurentAZ:
     def invert_a(self) -> "LaurentAZ":
         """Substitute a -> a^-1, leaving z alone."""
         return self._from_pairs({(-a, z): c for (a, z), c in self._terms.items()})
-
-    def abs_coeff_sum(self) -> int:
-        return sum(abs(c) for c in self._terms.values())
 
     def divide_exact(self, other: "LaurentAZ") -> "LaurentAZ":
         """Return q with self == q * other, or raise NotDivisibleError.
@@ -247,7 +232,7 @@ class LaurentA(LaurentAZ):
     """A Laurent polynomial in ``a`` with integer coefficients.
 
     The one-variable face of :class:`LaurentAZ`: terms are stored with z
-    exponent 0, and ``terms``, ``coeff`` and ``monomial`` speak of the a
+    exponent 0, and ``terms`` and ``monomial`` speak of the a
     exponent alone.  Results stay LaurentA while every operand is a
     LaurentA or an int.
 
@@ -274,12 +259,6 @@ class LaurentA(LaurentAZ):
     def terms(self) -> dict:
         return {a: c for (a, _), c in self._terms.items()}
 
-    def coeff(self, a_exp: int) -> int:
-        return self._terms.get((a_exp, 0), 0)
-
-    def as_az(self) -> LaurentAZ:
-        return LaurentAZ._from_pairs(self._terms)
-
     def __repr__(self) -> str:
         return f"LaurentA({self.terms!r})"
 
@@ -302,73 +281,3 @@ def format_poly(p) -> str:
             pieces.append(("- " if c < 0 else "+ ") + body)
     return " ".join(pieces) if pieces else "0"
 
-
-def parse_poly(text: str) -> LaurentAZ:
-    """Parse signed monomial text into a LaurentAZ.
-
-    Accepts what format_poly emits plus free whitespace, omitted ``*``
-    between factors, and repeated terms (which merge additively).
-    """
-    terms: dict = {}
-    i, n = 0, len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_int(i: int, what: str) -> tuple[int, int]:
-        j = i
-        if j < n and text[j] in "+-":
-            j += 1
-        k = j
-        while k < n and text[k].isdigit():
-            k += 1
-        if k == j:
-            raise PolySyntaxError(f"expected {what}", i)
-        return int(text[i:k]), k
-
-    i = skip_ws(i)
-    first = True
-    while i < n:
-        sign = 1
-        if text[i] == "+":
-            if first:
-                raise PolySyntaxError("unexpected sign", i)
-            i = skip_ws(i + 1)
-        elif text[i] == "-":
-            sign = -1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise PolySyntaxError("expected + or - between terms", i)
-        coeff = None
-        a_exp = 0
-        z_exp = 0
-        if i < n and text[i].isdigit():
-            coeff, i = read_int(i, "coefficient")
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-        for var in "az":
-            if i < n and text[i] == var:
-                i += 1
-                exp = 1
-                if i < n and text[i] == "^":
-                    exp, i = read_int(i + 1, "exponent")
-                if var == "a":
-                    a_exp = exp
-                else:
-                    z_exp = exp
-                i = skip_ws(i)
-                if i < n and text[i] == "*":
-                    i = skip_ws(i + 1)
-        if coeff is None and a_exp == 0 and z_exp == 0:
-            raise PolySyntaxError("expected a term", i)
-        c = sign * (1 if coeff is None else coeff)
-        key = (a_exp, z_exp)
-        terms[key] = terms.get(key, 0) + c
-        first = False
-        i = skip_ws(i)
-    if first:
-        raise PolySyntaxError("empty polynomial text", 0)
-    return LaurentAZ(terms)

@@ -54,15 +54,14 @@ def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diag
     return _trusted(tuple(cs) + (kink,), d.free_loops)
 
 
-def poke(
-    d: Diagram, over_end: tuple[int, int], under_end: tuple[int, int]
-) -> Diagram:
+def poke(d: Diagram, over_end: int, under_end: int) -> Diagram:
     """Push the edge arriving at over_end across a shared face, over
     the edge arriving at under_end.
 
-    Both ends must lie on one face and belong to different edges.  The
-    result differs from d by a single two-crossing slide, so every
-    framed invariant must agree on the two diagrams.
+    Ends are numbered 4h + s as in ``faces``.  Both must lie on one face
+    and belong to different edges.  The result differs from d by a single
+    two-crossing slide, so every framed invariant must agree on the two
+    diagrams.
     """
     for f in faces(d):
         if over_end in f and under_end in f:
@@ -70,8 +69,7 @@ def poke(
     else:
         raise InvalidDiagramError("the two ends do not border a common face")
     n = len(d.crossings)
-    x_e = 4 * over_end[0] + over_end[1]
-    x_f = 4 * under_end[0] + under_end[1]
+    x_e, x_f = over_end, under_end
     mate = list(d._mate) + [0] * 8
     if mate[x_e] == x_f or x_e == x_f:
         raise InvalidDiagramError("poke needs two distinct edges")
@@ -103,12 +101,12 @@ def first_poke(d: Diagram) -> Diagram:
 
 def all_pokes(d: Diagram, limit: int | None = None) -> list[Diagram]:
     """Every distinct poke of the diagram, optionally capped."""
-    m = d.end_matching()
+    mate = d._mate
     out = []
     for f in faces(d):
         for i in range(len(f)):
             for j in range(len(f)):
-                if i == j or m[f[i]] == f[j]:
+                if i == j or mate[f[i]] == f[j]:
                     continue
                 out.append(poke(d, f[i], f[j]))
                 if limit is not None and len(out) >= limit:

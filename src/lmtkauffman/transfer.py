@@ -41,11 +41,6 @@ NEG_A_PAIR = LaurentA({1: -1, -1: -1})
 MAX_SUM_COMPONENTS = 4096
 
 
-def orientations(d: Diagram) -> range:
-    """All orientation masks of the diagram."""
-    return range(1 << d.num_components)
-
-
 def sum_over_masks(
     com: int, weights: Mapping[tuple[int, int], tuple[int, int]]
 ) -> dict[int, int]:

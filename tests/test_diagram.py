@@ -17,7 +17,7 @@ from lmtkauffman.diagram import (
     _reassemble,
     to_pd_text,
 )
-from lmtkauffman.kauffman import lambda_poly
+from lmtkauffman.kauffman import first_defect, lambda_poly
 from lmtkauffman.lmt import lmt_rhs, verify_all
 from lmtkauffman.moves import add_kink, all_pokes
 from lmtkauffman.transfer import g_tau
@@ -329,6 +329,18 @@ def test_passages_and_basepoints():
         d.passages(component_order=(0, 0))
     with pytest.raises(InvalidDiagramError):
         d.passages(basepoints=(2, 4))
+    assert d.passages(basepoints={1: 2, 0: 4}) == d.passages(basepoints=(4, 2))
+    # one edge per strand component, no fewer and no more
+    for bps in ((1,), {0: 1}, (1, 2, 3), {0: 1, 1: 2, 2: 3}):
+        with pytest.raises(InvalidDiagramError, match="one edge on each of the 2"):
+            d.passages(basepoints=bps)
+        with pytest.raises(InvalidDiagramError, match="one edge on each of the 2"):
+            first_defect(d, basepoints=bps)
+        with pytest.raises(InvalidDiagramError, match="one edge on each of the 2"):
+            lambda_poly(d, basepoints=bps)
+    # refused also where the reductions at entry would leave it unused
+    with pytest.raises(InvalidDiagramError):
+        lambda_poly(parse_pd("Xr 1 1 2 2\n"), basepoints=(1, 2))
 
 
 def test_strand_structure_matches_an_edge_walk():

@@ -171,8 +171,8 @@ def _plain_lambda(d):
 
 
 def _has_curl(d):
-    m = d.end_matching()
-    return any(m[(h, s)] == (h, (s + 1) % 4) for h, s in m)
+    # an edge joining slot s of a crossing to its slot s + 1
+    return any(y == x - (x & 3) + (x + 1) % 4 for x, y in enumerate(d._mate))
 
 
 def _nested_curls(d, signs):

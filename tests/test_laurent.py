@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +10,8 @@ from lmtkauffman.laurent import (
     LaurentA,
     LaurentAZ,
     NotDivisibleError,
-    PolySyntaxError,
     SpecializationError,
     format_poly,
-    parse_poly,
 )
 
 DELTA = LaurentAZ({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
@@ -213,38 +213,24 @@ def test_format_examples():
     assert format_poly(LaurentA({3: -1, 0: 4})) == "4 - a^3"
 
 
-def test_parse_basics():
-    assert parse_poly("0") == LaurentAZ.zero()
-    assert parse_poly("a") == LaurentAZ({(1, 0): 1})
-    assert parse_poly("-a^-1") == LaurentAZ({(-1, 0): -1})
-    assert parse_poly("2*a^2*z^-1") == LaurentAZ({(2, -1): 2})
-    assert parse_poly(" 1 + z - z ") == LaurentAZ.one()
-    assert parse_poly("a + a") == LaurentAZ({(1, 0): 2})
-    assert parse_poly("3 z^2") == LaurentAZ({(0, 2): 3})
+def _reference_parse_poly():
+    # the benchmark's parser of CLI output, which never imports the package
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.parse_poly
 
 
 def test_parse_format_roundtrip_random():
+    parse_poly = _reference_parse_poly()
     rng = random.Random(46)
     for _ in range(300):
         p = rand_az(rng, 5)
-        assert parse_poly(format_poly(p)) == p
+        assert LaurentAZ(parse_poly(format_poly(p))) == p
     for _ in range(300):
         p = rand_a(rng, 5)
-        assert parse_poly(format_poly(p)) == p.as_az()
-
-
-def test_parse_errors_have_positions():
-    with pytest.raises(PolySyntaxError) as e:
-        parse_poly("a^")
-    assert e.value.position == 2
-    with pytest.raises(PolySyntaxError):
-        parse_poly("")
-    with pytest.raises(PolySyntaxError):
-        parse_poly("+1")
-    with pytest.raises(PolySyntaxError):
-        parse_poly("a b")
-    with pytest.raises(PolySyntaxError):
-        parse_poly("1 + + 2")
+        assert LaurentAZ(parse_poly(format_poly(p))) == p
 
 
 def test_invert_a():
@@ -256,11 +242,6 @@ def test_invert_a():
     for _ in range(100):
         p, q = rand_az(rng), rand_az(rng)
         assert (p * q).invert_a() == p.invert_a() * q.invert_a()
-
-
-def test_abs_coeff_sum():
-    assert LaurentA({1: -3, 0: 2}).abs_coeff_sum() == 5
-    assert LaurentAZ.zero().abs_coeff_sum() == 0
 
 
 def test_immutability():
@@ -275,12 +256,13 @@ def test_immutability():
 def test_one_variable_face_and_mixed_operands():
     p = LaurentA({1: 1, -1: 1})
     z = LaurentAZ.monomial(1, 0, 1)
-    assert p.terms == {1: 1, -1: 1} and p.coeff(1) == 1
+    assert p.terms == {1: 1, -1: 1}
     assert repr(p) == "LaurentA({1: 1, -1: 1})"
     for q in (p * p, p + 1, 1 - p, 2 * p, p ** 3, -p, p.invert_a(), (p * p).divide_exact(p)):
         assert type(q) is LaurentA
     for q in (p * z, z * p, p + z, z - p, (p * z).divide_exact(p)):
         assert type(q) is LaurentAZ
     assert p * z == LaurentAZ({(1, 1): 1, (-1, 1): 1})
-    assert p == p.as_az() and hash(p) == hash(p.as_az())
+    az = LaurentAZ({(1, 0): 1, (-1, 0): 1})
+    assert p == az and hash(p) == hash(az)
     assert LaurentA.one() == LaurentAZ.one() == 1
