@@ -20,6 +20,12 @@ h; ``_mate`` pairs each end with the end its edge runs to, and
 traversal order.  Components, the strands at each crossing and the
 traversal order are all read from these two.
 
+Orientation data is read from one flat pair table, built once per
+diagram: the self-writhe, plus one ``(u, o, C)`` for each pair of
+components whose signed crossing count C is not zero.  ``writhe``,
+``linking_number`` and ``pair_signs`` under any mask loop over it, so
+their cost follows the number of linked pairs, not the crossings.
+
 The text format accepted by :func:`parse_pd` has an optional first line
 ``loops k`` followed by one crossing per line, ``Xr a b c d`` or
 ``Xl a b c d``.  ``#`` starts a comment.
@@ -144,7 +150,7 @@ class Diagram:
                 raise InvalidDiagramError(
                     f"edge {e} must leave one crossing and enter one crossing"
                 )
-        for (u, o), c in self._sign_table[1].items():
+        for u, o, c in self._sign_table[1]:
             if c % 2:
                 k = sum(1 for p in self._crossing_comps if p in ((u, o), (o, u)))
                 raise InvalidDiagramError(
@@ -243,10 +249,11 @@ class Diagram:
     # -- orientation data -------------------------------------------------
 
     def _check_mask(self, mask: int, what: str) -> None:
-        if mask < 0 or mask >= (1 << self.num_components):
-            raise InvalidDiagramError(
-                f"{what} {mask:#b} addresses more than {self.num_components} components"
-            )
+        if mask < 0:
+            raise InvalidDiagramError(f"{what} {mask:#b} is negative")
+        com = self.num_components
+        if mask >> com:
+            raise InvalidDiagramError(f"{what} {mask:#b} addresses more than {com} components")
 
     def crossing_sign(self, ci: int, mask: OrientationMask = 0) -> int:
         """Sign of one crossing under the orientation given by mask."""
@@ -259,10 +266,10 @@ class Diagram:
         return -sign if ((mask >> u) ^ (mask >> o)) & 1 else sign
 
     @cached_property
-    def _sign_table(self) -> tuple[int, dict[tuple[int, int], int]]:
-        # (self-writhe, {(u, o): C} for each pair u < o of distinct
-        # components that cross), C being the sum of the tag signs of
-        # their crossings: twice their linking number under the reference
+    def _sign_table(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        # (self-writhe, flat pair table): (u, o, C) for each pair u < o of
+        # distinct components with C != 0, C being the sum of the tag signs
+        # of their crossings: twice their linking number under the reference
         # orientation, with the parity of their crossing count
         self_w = 0
         between: dict[tuple[int, int], int] = {}
@@ -273,7 +280,7 @@ class Diagram:
             else:
                 key = (u, o) if u < o else (o, u)
                 between[key] = between.get(key, 0) + sign
-        return self_w, between
+        return self_w, tuple((u, o, c) for (u, o), c in between.items() if c)
 
     def pair_signs(self, mask: OrientationMask = 0) -> dict[tuple[int, int], int]:
         """C[u, o] * e_u * e_o for each pair u < o of components with C != 0.
@@ -292,12 +299,15 @@ class Diagram:
         self._check_mask(mask, "orientation mask")
         return {
             (u, o): -c if ((mask >> u) ^ (mask >> o)) & 1 else c
-            for (u, o), c in self._sign_table[1].items()
-            if c
+            for u, o, c in self._sign_table[1]
         }
 
     def writhe(self, mask: OrientationMask = 0) -> int:
-        return self._sign_table[0] + sum(self.pair_signs(mask).values())
+        self._check_mask(mask, "orientation mask")
+        total, pairs = self._sign_table
+        for u, o, c in pairs:
+            total += -c if ((mask >> u) ^ (mask >> o)) & 1 else c
+        return total
 
     def self_writhe(self) -> int:
         """Writhe counting only crossings of a component with itself.
@@ -314,11 +324,12 @@ class Diagram:
         count is forced even, so an odd total is reported as an engine
         bug rather than rounded.
         """
-        pairs = self.pair_signs(mask)
         self._check_mask(submask, "sublink mask")
-        total = sum(
-            c for (u, o), c in pairs.items() if ((submask >> u) ^ (submask >> o)) & 1
-        )
+        self._check_mask(mask, "orientation mask")
+        total = 0
+        for u, o, c in self._sign_table[1]:
+            if ((submask >> u) ^ (submask >> o)) & 1:
+                total += -c if ((mask >> u) ^ (mask >> o)) & 1 else c
         if total % 2:
             raise InternalInvariantError(
                 "odd crossing count between a sublink and its complement"

@@ -20,13 +20,20 @@ pieces (``transfer.sum_over_masks``); a component that links nothing
 just doubles it.  The right side still comes from crossing signs alone,
 independent of the skein recursion on the left.  The reversal-writhe
 checks are one report per sublink, so ``verify_all`` still makes 2^com
-of them, and refuses diagrams above ``MAX_VERIFY_COMPONENTS``.
+of them, and refuses diagrams above ``MAX_VERIFY_COMPONENTS``.  Each of
+those reports reads only the diagram's flat pair table, through
+``Diagram.writhe`` and ``Diagram.linking_number``.
+
+``verify_all`` specializes lambda once, lambda(z = -a - a^-1), and hands
+it to the sublink formula and to the specialization identity.  Setting z
+commutes with multiplying by a power of a, so a^(-writhe) times it is
+exactly ``specialized_f``.
 """
 
 from __future__ import annotations
 
 from .diagram import Diagram, DiagramError, InternalInvariantError
-from .kauffman import specialized_f
+from .kauffman import lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
 from .transfer import (
@@ -70,24 +77,37 @@ def check_reversal_writhe(
     """Reversing a sublink shifts the writhe by -4 times its linking.
 
     writhe, if given, is d.writhe(mask), so that a caller checking every
-    sublink computes it once.
+    sublink computes it once.  The linking number comes first, so a bad
+    submask is refused as a sublink mask.
     """
-    lhs = d.writhe(mask ^ submask) - (d.writhe(mask) if writhe is None else writhe)
     rhs = -4 * d.linking_number(mask, submask)
+    lhs = d.writhe(mask ^ submask) - (d.writhe(mask) if writhe is None else writhe)
     return compare(subject, f"reversal-writhe[{submask:b}]", lhs, rhs)
 
 
 def verify_sublink_formula(
-    d: Diagram, mask: int = 0, memo: dict | None = None, subject: str = ""
+    d: Diagram,
+    mask: int = 0,
+    memo: dict | None = None,
+    subject: str = "",
+    lam: LaurentA | None = None,
 ) -> VerificationReport:
-    """Skein engine versus linking data, compared exactly."""
-    lhs = specialized_f(d, mask, memo=memo)
+    """Skein engine versus linking data, compared exactly.
+
+    The left side is specialized_f(d, mask).  lam, if given, is
+    lambda_poly(d).substitute_z(), so that a caller checking it against
+    more than one identity specializes it once.
+    """
+    shift = LaurentA.monomial(1, -d.writhe(mask))
+    if lam is None:
+        lam = lambda_poly(d, memo=memo).substitute_z()
+    lhs = shift * lam
     rhs = lmt_rhs(d, mask)
     return compare(subject, "sublink-formula", lhs, rhs)
 
 
 def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[VerificationReport]:
-    """Every check this package knows, sharing one skein cache, g_tau and writhe.
+    """Every check this package knows, sharing one specialized lambda, g_tau and writhe.
 
     A diagram of more than MAX_VERIFY_COMPONENTS components raises
     DiagramError before any check runs.
@@ -98,13 +118,13 @@ def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[Verificatio
             f"verify handles at most {MAX_VERIFY_COMPONENTS} components, this diagram "
             f"has {com}: it would report 2^{com} reversal-writhe checks"
         )
-    memo: dict = {}
-    reports = [verify_sublink_formula(d, mask, memo=memo, subject=subject)]
+    w = d.writhe(mask)  # first, so that a bad mask is refused before the skein engine runs
+    lam = lambda_poly(d).substitute_z()
+    reports = [verify_sublink_formula(d, mask, subject=subject, lam=lam)]
     g = g_tau(d)
-    reports.append(check_specialization_identity(d, memo=memo, subject=subject, g=g))
+    reports.append(check_specialization_identity(d, subject=subject, g=g, lam=lam))
     for ci in range(len(d.crossings)):
         reports.append(check_skein_identity(d, ci, subject=subject, g=g))
-    w = d.writhe(mask)
     for s in range(1 << com):
         reports.append(check_reversal_writhe(d, mask, s, subject=subject, writhe=w))
     return reports

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One checked identity: both sides rendered as text, plus the verdict.
 
     ``passed`` is always the literal equality of the two values the
-    check computed, never a tolerance.
+    check computed, never a tolerance.  A named tuple, so immutable and
+    cheap to build: ``verify`` makes one per sublink, 2^com in all.
     """
 
     subject: str

@@ -22,6 +22,10 @@ components, and a factor 2 for each component that links nothing.
 pairs, and ``lmt.lmt_rhs`` uses it too.  Every value still comes from
 crossing signs alone, so the check against the engine stays independent
 of the recursion; only the order of summation changes.
+
+``check_specialization_identity`` takes the specialized polynomial
+lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
+computes it once for this identity and the sublink formula together.
 """
 
 from __future__ import annotations
@@ -128,12 +132,17 @@ def check_skein_identity(
 
 
 def check_specialization_identity(
-    d: Diagram, memo: dict | None = None, subject: str = "", g: LaurentA | None = None
+    d: Diagram,
+    memo: dict | None = None,
+    subject: str = "",
+    g: LaurentA | None = None,
+    lam: LaurentA | None = None,
 ) -> VerificationReport:
     """Check g_tau against -2 times the specialized framed polynomial.
 
-    g, if given, is g_tau(d).
+    g, if given, is g_tau(d), and lam, if given, is
+    lambda_poly(d).substitute_z().
     """
     lhs = g_tau(d) if g is None else g
-    rhs = -2 * lambda_poly(d, memo=memo).substitute_z()
+    rhs = -2 * (lambda_poly(d, memo=memo).substitute_z() if lam is None else lam)
     return compare(subject, "orientation-sum-vs-engine", lhs, rhs)

@@ -2,21 +2,25 @@
 
 ``g_tau`` and ``lmt_rhs`` sum over all 2^com masks as a product over the
 pieces of the linking graph, and ``writhe`` and ``linking_number`` read
-a per-pair sign table.  The references here enumerate every mask and
-every sublink and re-sum every crossing through ``crossing_sign``, with
-the components at each crossing taken from a walk over edge ids.
+a flat per-pair sign table.  The references here enumerate every mask
+and every sublink and re-sum every crossing through ``crossing_sign``,
+with the components at each crossing taken from a walk over edge ids.
+``verify_all``, which specializes lambda once for two of its checks, is
+held to reports rebuilt the same plain way.
 """
 
 import random
 
 import edge_walk
 
-from lmtkauffman.braid import random_closure
+from lmtkauffman.braid import braid_closure, random_closure
 from lmtkauffman.corpus import CORPUS
 from lmtkauffman.diagram import Diagram
+from lmtkauffman.kauffman import lambda_poly, specialized_f
 from lmtkauffman.laurent import LaurentA
-from lmtkauffman.lmt import lmt_rhs
-from lmtkauffman.transfer import g_tau
+from lmtkauffman.lmt import lmt_rhs, verify_all
+from lmtkauffman.report import VerificationReport
+from lmtkauffman.transfer import NEG_A_PAIR, g_tau
 
 MAX_COM = 8
 
@@ -103,3 +107,45 @@ def test_unenumerable_sizes_take_their_closed_forms():
     d = Diagram((), 40)
     assert g_tau(d) == LaurentA({0: (-2) ** 40})
     assert lmt_rhs(d) == LaurentA({0: (-2) ** 39})
+
+
+def _plain_report(subject, claim, lhs, rhs):
+    return VerificationReport(subject, claim, str(lhs), str(rhs), lhs == rhs)
+
+
+def _plain_verify_all(d, subject):
+    # every report of verify_all, each side from plain enumeration or from
+    # the engine's own specialized_f and lambda_poly, each called afresh
+    com = d.num_components
+    comps = edge_walk.crossing_comps(d)
+    signs = _plain_signs(d, 0)
+    reports = [
+        _plain_report(subject, "sublink-formula", specialized_f(d), _plain_lmt_rhs(d, 0)),
+        _plain_report(
+            subject,
+            "orientation-sum-vs-engine",
+            _plain_g_tau(d),
+            -2 * lambda_poly(d).substitute_z(),
+        ),
+    ]
+    for ci in range(len(d.crossings)):
+        lhs = _plain_g_tau(d) + _plain_g_tau(d.switch(ci))
+        rhs = NEG_A_PAIR * (_plain_g_tau(d.smooth(ci, "A")) + _plain_g_tau(d.smooth(ci, "B")))
+        reports.append(_plain_report(subject, f"orientation-sum-skein[{ci}]", lhs, rhs))
+    for s in range(1 << com):
+        lhs = sum(_plain_signs(d, s)) - sum(signs)
+        rhs = -4 * _plain_linking(comps, signs, s)
+        reports.append(_plain_report(subject, f"reversal-writhe[{s:b}]", lhs, rhs))
+    return reports
+
+
+def test_verify_all_matches_reports_rebuilt_plainly():
+    # corpus entries, then hopf + T(2,4) with 0-3 free loops
+    subjects = [(e.name, e.diagram()) for e in CORPUS]
+    for loops in range(4):
+        d = braid_closure([-1, -1, -3, -3, -3, -3], 4 + loops)
+        subjects.append((f"hopf+t24+{loops}", d))
+    for name, d in subjects:
+        reports = verify_all(d, subject=name)
+        assert reports == _plain_verify_all(d, name), name
+        assert all(r.passed for r in reports), name

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from lmtkauffman import diagram as diagram_module
-from lmtkauffman.braid import random_closure, random_knot_closure
+from lmtkauffman import kauffman, lmt, transfer
+from lmtkauffman.braid import braid_closure, random_closure, random_knot_closure
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import (
     Crossing,
@@ -13,7 +14,7 @@ from lmtkauffman.diagram import (
     parse_pd,
 )
 from lmtkauffman.kauffman import EmptyDiagramError, specialized_f
-from lmtkauffman.laurent import LaurentA
+from lmtkauffman.laurent import LaurentA, LaurentAZ
 from lmtkauffman.lmt import (
     MAX_VERIFY_COMPONENTS,
     check_reversal_writhe,
@@ -21,6 +22,7 @@ from lmtkauffman.lmt import (
     verify_all,
     verify_sublink_formula,
 )
+from lmtkauffman.report import VerificationReport
 from lmtkauffman.transfer import g_tau
 
 ONE = LaurentA.one()
@@ -140,6 +142,66 @@ def test_verify_all_computes_the_base_writhe_once(monkeypatch):
     reports = verify_all(d)
     assert all(r.passed for r in reports)
     assert len(masks) == (1 << d.num_components) + 2
+
+
+def test_verify_all_specializes_lambda_once(monkeypatch):
+    # the sublink formula and the specialization identity share one
+    # lambda(z = -a - a^-1)
+    d = get("hopf_pos").diagram().distant_union(get("torus_2_4").diagram())
+    calls = {"lambda_poly": 0, "substitute_z": 0}
+    lambda_poly = kauffman.lambda_poly
+    substitute_z = LaurentAZ.substitute_z
+
+    def counted_lambda(*args, **kwargs):
+        calls["lambda_poly"] += 1
+        return lambda_poly(*args, **kwargs)
+
+    def counted_substitute(self):
+        calls["substitute_z"] += 1
+        return substitute_z(self)
+
+    for module in (kauffman, lmt, transfer):
+        monkeypatch.setattr(module, "lambda_poly", counted_lambda)
+    monkeypatch.setattr(LaurentAZ, "substitute_z", counted_substitute)
+    reports = verify_all(d)
+    assert all(r.passed for r in reports)
+    assert calls == {"lambda_poly": 1, "substitute_z": 1}
+
+
+def test_bad_masks_are_named_in_the_refusal():
+    # hopf + T(2,4) + 7 free circles: 11 components
+    d = braid_closure([-1, -1, -3, -3, -3, -3], 11)
+    assert d.num_components == 11
+    with pytest.raises(
+        InvalidDiagramError,
+        match=r"^sublink mask 0b100000000000 addresses more than 11 components$",
+    ):
+        check_reversal_writhe(d, 0, 1 << 11)
+    with pytest.raises(InvalidDiagramError, match=r"^sublink mask -0b1 is negative$"):
+        check_reversal_writhe(d, 0, -1)
+    with pytest.raises(InvalidDiagramError, match=r"^orientation mask -0b10 is negative$"):
+        check_reversal_writhe(d, -2, 0)
+    with pytest.raises(InvalidDiagramError, match=r"^orientation mask -0b1 is negative$"):
+        d.writhe(-1)
+
+
+def test_report_is_an_immutable_named_tuple():
+    assert VerificationReport._fields == ("subject", "claim", "lhs", "rhs", "passed")
+    r = verify_all(get("hopf_pos").diagram())[0]
+    with pytest.raises(AttributeError):
+        r.passed = False
+
+
+def test_verify_all_at_the_component_limit():
+    d = get("hopf_pos").diagram().distant_union(Diagram((), MAX_VERIFY_COMPONENTS - 2))
+    assert d.num_components == MAX_VERIFY_COMPONENTS
+    reports = verify_all(d, subject="edge")
+    assert len(reports) == 2 + 2 + (1 << MAX_VERIFY_COMPONENTS)
+    claims = ["sublink-formula", "orientation-sum-vs-engine"]
+    claims += ["orientation-sum-skein[0]", "orientation-sum-skein[1]"]
+    claims += [f"reversal-writhe[{s:b}]" for s in range(1 << MAX_VERIFY_COMPONENTS)]
+    assert [r.claim for r in reports] == claims
+    assert all(r.passed and r.subject == "edge" for r in reports)
 
 
 def test_verify_all_refuses_more_than_the_component_limit():
