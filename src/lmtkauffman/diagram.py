@@ -267,20 +267,7 @@ class Diagram:
 
     @cached_property
     def _sign_table(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        # (self-writhe, flat pair table): (u, o, C) for each pair u < o of
-        # distinct components with C != 0, C being the sum of the tag signs
-        # of their crossings: twice their linking number under the reference
-        # orientation, with the parity of their crossing count
-        self_w = 0
-        between: dict[tuple[int, int], int] = {}
-        for c, (u, o) in zip(self.crossings, self._crossing_comps):
-            sign = TAG_SIGN[c.tag]
-            if u == o:
-                self_w += sign
-            else:
-                key = (u, o) if u < o else (o, u)
-                between[key] = between.get(key, 0) + sign
-        return self_w, tuple((u, o, c) for (u, o), c in between.items() if c)
+        return _sign_table_of(self._strands, len(self._mate))
 
     def pair_signs(self, mask: OrientationMask = 0) -> dict[tuple[int, int], int]:
         """C[u, o] * e_u * e_o for each pair u < o of components with C != 0.
@@ -515,6 +502,34 @@ def _trusted(crossings: tuple[Crossing, ...], free_loops: int, **derived) -> Dia
     d = object.__new__(Diagram)
     d.__dict__.update(derived, crossings=crossings, free_loops=free_loops)
     return d
+
+
+def _sign_table_of(strands: Iterable[Sequence[int]], ends: int) -> tuple[int, tuple]:
+    # (self-writhe, flat pair table) of strand cycles of arrival ends over
+    # that many ends: (u, o, C) for each pair u < o of components whose
+    # signs sum to C != 0, twice their linking number with the parity of
+    # their crossing count.  A crossing no strand meets is skipped; the
+    # others count TAG_SIGN["r"] when the over-strand arrives one slot
+    # clockwise of the under-strand, else TAG_SIGN["l"].
+    comp = [-1] * ends
+    for k, cyc in enumerate(strands):
+        for x in cyc:
+            comp[x] = k
+    self_w = 0
+    between: dict[tuple[int, int], int] = {}
+    for b in range(0, ends, 4):
+        under = b if comp[b] >= 0 else b + 2
+        over = b + 1 if comp[b + 1] >= 0 else b + 3
+        u, o = comp[under], comp[over]
+        if u < 0:
+            continue
+        sign = TAG_SIGN["r" if (over - under) % 4 == 3 else "l"]
+        if u == o:
+            self_w += sign
+        else:
+            key = (u, o) if u < o else (o, u)
+            between[key] = between.get(key, 0) + sign
+    return self_w, tuple((u, o, c) for (u, o), c in between.items() if c)
 
 
 def _unplug(mate: list[int], h: int, pairing: Sequence[int]) -> int:

@@ -58,7 +58,7 @@ def lmt_rhs(d: Diagram, mask: int = 0) -> LaurentA:
     times (its constructor refuses records that are not planar), so the
     linking numbers are integers.
     """
-    com = summed_components(d, "sublink sum")
+    com = summed_components(d.num_components, "sublink sum")
     weights = {pair: (0, -2 * c) for pair, c in d.pair_signs(mask).items()}
     total = sum_over_masks(com, weights)
     sign = (-1) ** (com - 1)

@@ -23,6 +23,11 @@ pairs, and ``lmt.lmt_rhs`` uses it too.  Every value still comes from
 crossing signs alone, so the check against the engine stays independent
 of the recursion; only the order of summation changes.
 
+``check_skein_identity`` builds no diagram: the switch's sum is the
+diagram's sign table with one sign changed, and each smoothing's comes
+from the table (``diagram._sign_table_of``) of its strands, walked once
+on a copy of the end array with the crossing unplugged.
+
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
 computes it once for this identity and the sublink formula together.
@@ -30,9 +35,10 @@ computes it once for this identity and the sublink formula together.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .diagram import Diagram, DiagramError
+from .diagram import SMOOTHING, TAG_SIGN, Diagram, DiagramError, InvalidDiagramError
+from .diagram import _sign_table_of, _unplug
 from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
@@ -86,13 +92,12 @@ def sum_over_masks(
     return total
 
 
-def summed_components(d: Diagram, what: str) -> int:
-    """The component count of a diagram whose masks are to be summed.
+def summed_components(com: int, what: str) -> int:
+    """The component count com of a diagram whose masks are to be summed.
 
     Raises EmptyDiagramError for the empty diagram, and DiagramError
     above MAX_SUM_COMPONENTS.
     """
-    com = d.num_components
     if com == 0:
         raise EmptyDiagramError(f"the empty diagram has no {what}")
     if com > MAX_SUM_COMPONENTS:
@@ -103,19 +108,57 @@ def summed_components(d: Diagram, what: str) -> int:
     return com
 
 
+def _orientation_sum(com: int, self_w: int, pairs: Iterable[tuple]) -> LaurentA:
+    # g_tau from a sign table (Diagram._sign_table); reversing one of two
+    # linked components negates their count C, so each pair weighs (C, -C)
+    summed_components(com, "orientation sum")
+    weights = {(u, o): (c, -c) for u, o, c in pairs}
+    sign = (-1) ** com
+    return LaurentA({self_w + e: sign * c for e, c in sum_over_masks(com, weights).items()})
+
+
 def g_tau(d: Diagram) -> LaurentA:
     """Sum of (-1)^com * a^writhe over every orientation, as one polynomial.
 
     The writhe under a mask is the framing of that oriented diagram, so
-    the sum collects (-1)^com * a^writhe over all masks.  Reversing one
-    of two linked components negates their signed crossing count, so
-    each pair weighs (C, -C).
+    the sum collects (-1)^com * a^writhe over all masks.
     """
-    com = summed_components(d, "orientation sum")
-    weights = {pair: (c, -c) for pair, c in d.pair_signs().items()}
-    sign = (-1) ** com
-    w0 = d.self_writhe()
-    return LaurentA({w0 + e: sign * c for e, c in sum_over_masks(com, weights).items()})
+    return _orientation_sum(d.num_components, *d._sign_table)
+
+
+def _switched_sum(d: Diagram, ci: int) -> LaurentA:
+    # g_tau(d.switch(ci)): the same components, crossing ci's sign changed
+    c = d.crossings[ci]
+    shift = TAG_SIGN[c.switched().tag] - TAG_SIGN[c.tag]
+    self_w, pairs = d._sign_table
+    u, o = sorted(d._crossing_comps[ci])
+    between = {(p, q): k for p, q, k in pairs}
+    if u == o:
+        self_w += shift
+    else:
+        between[u, o] = between.get((u, o), 0) + shift
+    return _orientation_sum(d.num_components, self_w, [(*p, k) for p, k in between.items() if k])
+
+
+def _smoothed_sum(d: Diagram, ci: int, which: str) -> LaurentA:
+    # g_tau(d.smooth(ci, which)): each strand of the rewired end array is
+    # walked once, in whichever direction it is met first
+    mate = list(d._mate)
+    loops = _unplug(mate, ci, SMOOTHING[which])
+    seen = [False] * len(mate)
+    seen[4 * ci : 4 * ci + 4] = [True] * 4
+    strands = []
+    for start in range(len(mate)):
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = seen[x ^ 2] = True
+            cyc.append(x)
+            x = mate[x ^ 2]
+        if cyc:
+            strands.append(cyc)
+    com = len(strands) + d.free_loops + loops
+    return _orientation_sum(com, *_sign_table_of(strands, len(mate)))
 
 
 def check_skein_identity(
@@ -126,8 +169,10 @@ def check_skein_identity(
     g, if given, is g_tau(d), so that a caller checking every crossing
     sums the diagram's orientations once.
     """
-    lhs = (g_tau(d) if g is None else g) + g_tau(d.switch(ci))
-    rhs = NEG_A_PAIR * (g_tau(d.smooth(ci, "A")) + g_tau(d.smooth(ci, "B")))
+    if not 0 <= ci < len(d.crossings):
+        raise InvalidDiagramError(f"crossing not found: {ci}")
+    lhs = (g_tau(d) if g is None else g) + _switched_sum(d, ci)
+    rhs = NEG_A_PAIR * (_smoothed_sum(d, ci, "A") + _smoothed_sum(d, ci, "B"))
     return compare(subject, f"orientation-sum-skein[{ci}]", lhs, rhs)
 
 

@@ -262,6 +262,19 @@ def test_verify_random_needs_a_positive_count(capsys):
         assert err == "error: --max-crossings needs K >= 1\n"
 
 
+def test_verify_random_refuses_words_longer_than_the_limit(capsys):
+    # one past the limit only: unchecked, a huge K draws the whole word first
+    k = str(cli.MAX_RANDOM_CROSSINGS + 1)
+    code, out, err = run(capsys, "--porcelain", "verify", "--random", "1", "--max-crossings", k)
+    assert code == 1 and out == ""
+    assert err == f"error: --max-crossings needs K <= {cli.MAX_RANDOM_CROSSINGS}\n"
+    code, out, _ = run(
+        capsys, "--porcelain", "verify", "--random", "1", "--max-crossings",
+        str(cli.MAX_RANDOM_CROSSINGS),
+    )
+    assert code == 0 and out.endswith("result=pass\n")
+
+
 def test_verify_without_target(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 1

@@ -15,7 +15,7 @@ import edge_walk
 
 from lmtkauffman.braid import braid_closure, random_closure
 from lmtkauffman.corpus import CORPUS
-from lmtkauffman.diagram import Diagram
+from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import lambda_poly, specialized_f
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.lmt import lmt_rhs, verify_all
@@ -140,11 +140,21 @@ def _plain_verify_all(d, subject):
 
 
 def test_verify_all_matches_reports_rebuilt_plainly():
-    # corpus entries, then hopf + T(2,4) with 0-3 free loops
+    # corpus entries, hopf + T(2,4) with 0-3 free loops, seeded closures,
+    # both one-crossing curls, whose smoothings close loops on the crossing
+    # alone, with and without free loops, and a split union
     subjects = [(e.name, e.diagram()) for e in CORPUS]
     for loops in range(4):
         d = braid_closure([-1, -1, -3, -3, -3, -3], 4 + loops)
         subjects.append((f"hopf+t24+{loops}", d))
+    rng = random.Random(72)
+    subjects += [(f"random[{i}]", random_closure(rng, 8)) for i in range(40)]
+    for curl in ("Xr 1 1 2 2\n", "Xl 1 2 2 1\n"):
+        for header in ("", "loops 2\n"):
+            text = header + curl
+            subjects.append((text.replace("\n", " ").strip(), parse_pd(text)))
+    union = random_closure(rng, 5).distant_union(random_closure(rng, 5))
+    subjects.append(("union", union))
     for name, d in subjects:
         reports = verify_all(d, subject=name)
         assert reports == _plain_verify_all(d, name), name

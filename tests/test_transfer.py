@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from lmtkauffman.braid import random_closure
 from lmtkauffman.corpus import CORPUS, get
-from lmtkauffman.diagram import Diagram, parse_pd
+from lmtkauffman.diagram import Diagram, InvalidDiagramError, parse_pd
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.transfer import check_skein_identity, check_specialization_identity, g_tau
@@ -64,6 +66,15 @@ def test_skein_identity_on_random_closures():
         d = random_closure(rng, 7)
         for ci in range(len(d.crossings)):
             assert check_skein_identity(d, ci).passed, (i, ci)
+
+
+def test_skein_identity_refuses_crossings_the_diagram_lacks():
+    # an index of -1 must not read the last crossing
+    hopf = get("hopf_pos").diagram()
+    for d, ci in ((hopf, -1), (hopf, len(hopf.crossings)), (Diagram((), 2), 0)):
+        for g in (None, g_tau(d)):
+            with pytest.raises(InvalidDiagramError, match=f"^crossing not found: {ci}$"):
+                check_skein_identity(d, ci, g=g)
 
 
 def test_specialization_identity_on_corpus():
