@@ -12,6 +12,7 @@ import argparse
 import functools
 import random
 import sys
+from typing import Iterator
 
 from . import corpus
 from .braid import random_closure
@@ -105,10 +106,15 @@ def cmd_lmt(args) -> int:
     return 0
 
 
-def _verify_targets(args) -> list[tuple[str, Diagram]]:
+def _verify_targets(args) -> Iterator[tuple[str, Diagram]]:
+    # a generator, so random closures are drawn one report at a time; its
+    # refusals all come before the first yield, hence before any output
+    if (args.path is not None) + args.corpus + (args.random is not None) > 1:
+        raise DiagramError("verify takes one of a path, --corpus, or --random N")
     if args.corpus:
-        return [(e.name, e.diagram()) for e in corpus.CORPUS]
-    if args.random is not None:
+        for e in corpus.CORPUS:
+            yield e.name, e.diagram()
+    elif args.random is not None:
         if args.random < 1:
             raise DiagramError("--random needs N >= 1")
         if args.max_crossings < 1:
@@ -116,13 +122,12 @@ def _verify_targets(args) -> list[tuple[str, Diagram]]:
         if args.max_crossings > MAX_RANDOM_CROSSINGS:
             raise DiagramError(f"--max-crossings needs K <= {MAX_RANDOM_CROSSINGS}")
         rng = random.Random(args.seed)
-        return [
-            (f"random[{i}]", random_closure(rng, args.max_crossings))
-            for i in range(args.random)
-        ]
-    if args.path is None:
+        for i in range(args.random):
+            yield f"random[{i}]", random_closure(rng, args.max_crossings)
+    elif args.path is None:
         raise DiagramError("verify needs a path, --corpus, or --random N")
-    return [(args.path, _read_diagram(args.path))]
+    else:
+        yield args.path, _read_diagram(args.path)
 
 
 def cmd_verify(args) -> int:

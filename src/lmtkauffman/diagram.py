@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DiagramError(ValueError):
@@ -325,47 +325,15 @@ class Diagram:
 
     # -- traversal --------------------------------------------------------
 
-    def passages(
-        self,
-        component_order: Sequence[int] | None = None,
-        basepoints: Sequence[int] | Mapping[int, int] | None = None,
-    ) -> list[tuple[int, bool]]:
+    def passages(self) -> list[tuple[int, bool]]:
         """Crossing visits in traversal order as (crossing, is_under).
 
-        Components are walked in component_order (default: as indexed),
-        each one starting at its basepoint edge (default: its smallest).
-        basepoints is indexed by component index, not by order position:
-        a sequence with one edge per strand component, or a mapping with
-        exactly the component indices as keys.
+        Components are walked in index order, each from its smallest
+        edge.  That fixes one traversal; renumbering the edges 1, 2, ...
+        along another component order or from other starting edges gives
+        a diagram whose passages follow that one.
         """
-        strands = self._strands
-        if component_order is None:
-            order: Sequence[int] = range(len(strands))
-        else:
-            order = tuple(component_order)
-            if sorted(order) != list(range(len(strands))):
-                raise InvalidDiagramError(
-                    "component order must be a permutation of the strand components"
-                )
-        if basepoints is not None:
-            keys = basepoints if isinstance(basepoints, Mapping) else range(len(basepoints))
-            if set(keys) != set(range(len(strands))):
-                raise InvalidDiagramError(
-                    f"basepoints must name one edge on each of the {len(strands)} "
-                    "strand components"
-                )
-        out = []
-        for k in order:
-            cyc = strands[k]
-            if basepoints is not None:
-                b = basepoints[k]
-                edges = self.strand_components[k]
-                if b not in edges:
-                    raise InvalidDiagramError(f"basepoint {b} is not on component {k}")
-                i0 = edges.index(b)
-                cyc = cyc[i0:] + cyc[:i0]
-            out += [(x >> 2, not x & 1) for x in cyc]
-        return out
+        return [(x >> 2, not x & 1) for cyc in self._strands for x in cyc]
 
     # -- editing ----------------------------------------------------------
 

@@ -10,8 +10,8 @@ switched pair and the two smoothings satisfy
 A union with a split circle multiplies the value by
 delta = (a + a^-1) z^-1 - 1.
 
-The computation descends on diagrams: walking the strands from their
-basepoints, a crossing first met on its under-strand is a defect.  With
+The computation descends on diagrams: walking each strand from its
+smallest edge, a crossing first met on its under-strand is a defect.  With
 no defects the diagram is a stack of unknotted components and the value
 is a^(self writhe) * delta^(components - 1); otherwise the first defect
 is resolved with the switch rule above.  Switching never touches the
@@ -58,13 +58,11 @@ z = -a - a^-1.
 Intermediate results are cached per invocation under the crossing
 records of the reduced diagrams.  Reassembly renumbers deterministically
 and switches keep every label, so equal records mean an equal diagram
-and the key costs no search.  Set the environment variable LMT_NO_MEMO=1
-to compute with no cache; results are identical either way.
+and the key costs no search.
 """
 
 from __future__ import annotations
 
-import os
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -97,14 +95,10 @@ def _a_delta(k: int, loops: int) -> LaurentAZ:
     )
 
 
-def first_defect(
-    d: Diagram,
-    component_order: Sequence[int] | None = None,
-    basepoints: Sequence[int] | Mapping[int, int] | None = None,
-) -> int | None:
+def first_defect(d: Diagram) -> int | None:
     """First crossing met on its under-strand, or None if descending."""
     seen: set[int] = set()
-    for ci, under in d.passages(component_order, basepoints):
+    for ci, under in d.passages():
         if ci in seen:
             continue
         seen.add(ci)
@@ -170,69 +164,54 @@ def _reduce(
     return 0, loops, _trusted(d.crossings, 0, _strands=d._strands, _mate=d._mate)
 
 
-def lambda_poly(
-    d: Diagram,
-    *,
-    component_order: Sequence[int] | None = None,
-    basepoints: Sequence[int] | Mapping[int, int] | None = None,
-    memo: dict | None = None,
-) -> LaurentAZ:
+def lambda_poly(d: Diagram, *, memo: dict | None = None) -> LaurentAZ:
     """The framed-link polynomial of the diagram.
 
-    component_order and basepoints pick the traversal, as for
-    ``Diagram.passages``, which refuses a malformed choice even where the
-    first reductions leave it unused; any valid choice gives the same
-    polynomial.  memo, if given, is shared across calls, which is safe
-    for exactly that reason.  Every diagram is planar (its constructor
+    The defects are read along ``Diagram.passages``, one fixed traversal.
+    Any other component order or starting edges give the same
+    polynomial; the tests reach every such traversal by renumbering the
+    edges along it.  memo, if given, is shared across calls, which is
+    safe for that reason.  Every diagram is planar (its constructor
     refuses records that are not), so every nonempty one has a value.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
-    if component_order is not None or basepoints is not None:
-        d.passages(component_order, basepoints)
-    if memo is None and os.environ.get("LMT_NO_MEMO") != "1":
-        memo = {}
-    return _child(d, {}, range(len(d.crossings)), component_order, basepoints, memo)
+    return _child(d, {}, range(len(d.crossings)), {} if memo is None else memo)
 
 
-def _child(d, pairings, check, order, bps, memo) -> LaurentAZ:
-    # the value of d with pairings' crossings removed; the traversal
-    # choice carries over only while d's records do
+def _child(d, pairings, check, memo) -> LaurentAZ:
+    # the value of d with pairings' crossings removed
     k, loops, r = _reduce(d, pairings, check)
     if r is None:
         return _a_delta(k, loops)
-    if r.crossings is not d.crossings:
-        order = bps = None
-    val = _lambda(r, order, bps, memo)
+    val = _lambda(r, memo)
     return _a_delta(k, loops) * val if k or loops else val
 
 
-def _lambda(d, order, bps, memo) -> LaurentAZ:
+def _lambda(d, memo) -> LaurentAZ:
     # d is reduced, so its children need checking only where they changed:
     # a switch can make a bigon only at the switched crossing, and a
     # smoothing only next to the smoothed one
-    if memo is not None:
-        hit = memo.get(d.crossings)
-        if hit is not None:
-            return hit
-    x = first_defect(d, order, bps)
+    hit = memo.get(d.crossings)
+    if hit is not None:
+        return hit
+    x = first_defect(d)
     if x is None:
         val = _a_delta(d.self_writhe(), d.num_components - 1)
     else:
-        val = -_child(d.switch(x), {}, (x,), order, bps, memo) + _Z * (
-            _child(d, {x: SMOOTHING["A"]}, (), None, None, memo)
-            + _child(d, {x: SMOOTHING["B"]}, (), None, None, memo)
+        val = -_child(d.switch(x), {}, (x,), memo) + _Z * (
+            _child(d, {x: SMOOTHING["A"]}, (), memo)
+            + _child(d, {x: SMOOTHING["B"]}, (), memo)
         )
-    if memo is not None:
-        memo[d.crossings] = val
+    memo[d.crossings] = val
     return val
 
 
-def f_oriented(d: Diagram, mask: int = 0, **kwargs) -> LaurentAZ:
+def f_oriented(d: Diagram, mask: int = 0) -> LaurentAZ:
     """The curl-stable polynomial a^(-writhe) * lambda under mask."""
-    return LaurentAZ.monomial(1, -d.writhe(mask)) * lambda_poly(d, **kwargs)
+    return LaurentAZ.monomial(1, -d.writhe(mask)) * lambda_poly(d)
 
 
-def specialized_f(d: Diagram, mask: int = 0, **kwargs) -> LaurentA:
+def specialized_f(d: Diagram, mask: int = 0) -> LaurentA:
     """f_oriented evaluated at z = -a - a^-1."""
-    return f_oriented(d, mask, **kwargs).substitute_z()
+    return f_oriented(d, mask).substitute_z()

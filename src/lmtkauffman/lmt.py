@@ -88,7 +88,6 @@ def check_reversal_writhe(
 def verify_sublink_formula(
     d: Diagram,
     mask: int = 0,
-    memo: dict | None = None,
     subject: str = "",
     lam: LaurentA | None = None,
 ) -> VerificationReport:
@@ -100,7 +99,7 @@ def verify_sublink_formula(
     """
     shift = LaurentA.monomial(1, -d.writhe(mask))
     if lam is None:
-        lam = lambda_poly(d, memo=memo).substitute_z()
+        lam = lambda_poly(d).substitute_z()
     lhs = shift * lam
     rhs = lmt_rhs(d, mask)
     return compare(subject, "sublink-formula", lhs, rhs)

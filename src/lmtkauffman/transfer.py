@@ -178,7 +178,6 @@ def check_skein_identity(
 
 def check_specialization_identity(
     d: Diagram,
-    memo: dict | None = None,
     subject: str = "",
     g: LaurentA | None = None,
     lam: LaurentA | None = None,
@@ -189,5 +188,5 @@ def check_specialization_identity(
     lambda_poly(d).substitute_z().
     """
     lhs = g_tau(d) if g is None else g
-    rhs = -2 * (lambda_poly(d, memo=memo).substitute_z() if lam is None else lam)
+    rhs = -2 * (lambda_poly(d).substitute_z() if lam is None else lam)
     return compare(subject, "orientation-sum-vs-engine", lhs, rhs)

@@ -4,7 +4,12 @@ A reference for the package's end-array traversal that shares no code
 with it.  In a record the edges at slot 0 and at the over entry (slot 3
 for ``r``, slot 1 for ``l``) arrive; an edge arriving at slot s goes on
 as the edge at slot s + 2 of the same record.
+
+``renumbered`` turns a traversal choice into edge numbering, which is
+how the tests reach every traversal of the package's engine.
 """
+
+from lmtkauffman.diagram import Diagram
 
 
 def _arrivals(d):
@@ -39,15 +44,30 @@ def crossing_comps(d):
     return tuple((comp[c.edges[0]], comp[c.edges[1]]) for c in d.crossings)
 
 
-def passages(d, order=None, basepoints=None):
-    """(crossing, is_under) per edge arrival, component by component."""
+def _edges_along(d, order, basepoints):
+    # edge ids in traversal order: components in order (default: as
+    # indexed), each from its basepoint (default: its smallest edge);
+    # basepoints is indexed by component, not by order position
     comps = components(d)
-    arrive = _arrivals(d)
-    out = []
     for k in range(len(comps)) if order is None else order:
         cyc = comps[k]
         i0 = 0 if basepoints is None else cyc.index(basepoints[k])
-        for e in cyc[i0:] + cyc[:i0]:
-            i, s = arrive[e]
-            out.append((i, s % 2 == 0))
-    return out
+        yield from cyc[i0:] + cyc[:i0]
+
+
+def passages(d, order=None, basepoints=None):
+    """(crossing, is_under) per edge arrival, component by component."""
+    arrive = _arrivals(d)
+    return [(i, s % 2 == 0) for i, s in map(arrive.get, _edges_along(d, order, basepoints))]
+
+
+def renumbered(d, order=None, basepoints=None):
+    """d with its edges numbered 1, 2, ... along another traversal.
+
+    The records keep their positions and tags, so the result is the same
+    diagram, and ``passages(d, order, basepoints)`` is its own default
+    traversal.
+    """
+    new = {e: i for i, e in enumerate(_edges_along(d, order, basepoints), 1)}
+    cs = tuple(c._replace(edges=tuple(new[e] for e in c.edges)) for c in d.crossings)
+    return Diagram(cs, d.free_loops)

@@ -8,6 +8,8 @@ import itertools
 import random
 import time
 
+import edge_walk
+
 from lmtkauffman.braid import (
     braid_closure,
     random_closure,
@@ -261,27 +263,31 @@ def test_criterion_8_mirror_and_union(capsys):
     )
 
 
-def test_criterion_9_determinism_and_cache_transparency(capsys, monkeypatch):
+def test_criterion_9_determinism_and_cache_transparency(capsys):
     problems = []
     try:
         small = [e for e in CORPUS if len(e.diagram().crossings) <= 6]
         baseline = {e.name: lambda_poly(e.diagram()) for e in small}
-        monkeypatch.setenv("LMT_NO_MEMO", "1")
+        shared: dict = {}
         for e in small:
-            if lambda_poly(e.diagram()) != baseline[e.name]:
-                problems.append(f"memo off changes {e.name}")
-        monkeypatch.delenv("LMT_NO_MEMO")
+            if lambda_poly(e.diagram(), memo=shared) != baseline[e.name]:
+                problems.append(f"shared memo changes {e.name}")
+        # every component order with random basepoints, reached by
+        # numbering the edges along that traversal
+        rng = random.Random(9)
         for e in small:
             d = e.diagram()
-            for perm in itertools.permutations(range(len(d.strand_components))):
-                if lambda_poly(d, component_order=perm) != baseline[e.name]:
-                    problems.append(f"order {perm} changes {e.name}")
+            comps = edge_walk.components(d)
+            for perm in itertools.permutations(range(len(comps))):
+                bps = [rng.choice(c) for c in comps]
+                if lambda_poly(edge_walk.renumbered(d, perm, bps)) != baseline[e.name]:
+                    problems.append(f"order {perm} from {bps} changes {e.name}")
             if lambda_poly(e.diagram()) != baseline[e.name]:
                 problems.append(f"rerun changes {e.name}")
     except Exception as exc:
         problems.append(f"exception: {exc!r}")
     _finish(
         capsys,
-        "criterion 9: memo off, component order, and reruns all agree",
+        "criterion 9: a shared memo, traversal choice, and reruns all agree",
         problems,
     )

@@ -281,6 +281,42 @@ def test_verify_without_target(capsys):
     assert "error:" in err
 
 
+def test_verify_refuses_more_than_one_target(tmp_path, capsys):
+    path = write(tmp_path, HOPF)
+    for targets in (
+        [path, "--random", "1"],
+        [path, "--corpus"],
+        ["--corpus", "--random", "1"],
+        [path, "--corpus", "--random", "0"],
+    ):
+        for porcelain in ([], ["--porcelain"]):
+            code, out, err = run(capsys, *porcelain, "verify", *targets)
+            assert code == 1 and out == ""
+            assert err == "error: verify takes one of a path, --corpus, or --random N\n"
+
+
+def test_verify_random_draws_each_closure_as_it_is_verified(capsys, monkeypatch):
+    # reports stream: no closure is drawn before the ones ahead of it are
+    # verified, so --random N holds one closure at a time
+    drawn = []
+    verified = []
+    random_closure, verify_all = cli.random_closure, cli.verify_all
+
+    def counting_closure(rng, k):
+        drawn.append(k)
+        return random_closure(rng, k)
+
+    def counting_verify(d, **kwargs):
+        verified.append((kwargs["subject"], len(drawn)))
+        return verify_all(d, **kwargs)
+
+    monkeypatch.setattr(cli, "random_closure", counting_closure)
+    monkeypatch.setattr(cli, "verify_all", counting_verify)
+    code, out, _ = run(capsys, "--porcelain", "verify", "--random", "6", "--max-crossings", "5")
+    assert code == 0 and out.endswith("result=pass\n")
+    assert verified == [(f"random[{i}]", i + 1) for i in range(6)]
+
+
 def test_consecutive_calls_share_one_parser(tmp_path, capsys):
     # one process, one parser: each call still parses its own arguments,
     # so a run of different verbs prints what each prints alone

@@ -17,7 +17,7 @@ from lmtkauffman.diagram import (
     _reassemble,
     to_pd_text,
 )
-from lmtkauffman.kauffman import first_defect, lambda_poly
+from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.lmt import lmt_rhs, verify_all
 from lmtkauffman.moves import add_kink, all_pokes
 from lmtkauffman.transfer import g_tau
@@ -153,8 +153,9 @@ def test_planarity_is_checked_once_per_diagram(monkeypatch, tmp_path, capsys):
 def test_planar_check_separates_random_codes():
     # random records with each edge id twice: Diagram refuses some for
     # their edge roles and some as non-planar; the ones it accepts get one
-    # value for every component order, and the mask sums, verify and
-    # every linking number run without an engine error
+    # value for every component order (reached by renumbering the edges
+    # along it), and the mask sums, verify and every linking number run
+    # without an engine error
     rng = random.Random(13)
     accepted = rejected = 0
     while accepted + rejected < 200:
@@ -170,7 +171,8 @@ def test_planar_check_separates_random_codes():
             continue
         accepted += 1
         k = len(d.strand_components)
-        values = {lambda_poly(d, component_order=o) for o in itertools.permutations(range(k))}
+        orders = itertools.permutations(range(k))
+        values = {lambda_poly(edge_walk.renumbered(d, o)) for o in orders}
         assert len(values) == 1, d
         g_tau(d)
         lmt_rhs(d)
@@ -318,29 +320,19 @@ def test_distant_union():
 def test_passages_and_basepoints():
     d = parse_pd(HOPF_POS)
     assert d.passages() == [(0, True), (1, False), (0, False), (1, True)]
-    assert d.passages(component_order=(1, 0)) == [
+    # other traversals are the defaults of renumbered copies
+    assert edge_walk.renumbered(d, (1, 0)).passages() == [
         (0, False),
         (1, True),
         (0, True),
         (1, False),
     ]
-    assert d.passages(basepoints=(4, 2)) == [(1, False), (0, True), (0, False), (1, True)]
-    with pytest.raises(InvalidDiagramError):
-        d.passages(component_order=(0, 0))
-    with pytest.raises(InvalidDiagramError):
-        d.passages(basepoints=(2, 4))
-    assert d.passages(basepoints={1: 2, 0: 4}) == d.passages(basepoints=(4, 2))
-    # one edge per strand component, no fewer and no more
-    for bps in ((1,), {0: 1}, (1, 2, 3), {0: 1, 1: 2, 2: 3}):
-        with pytest.raises(InvalidDiagramError, match="one edge on each of the 2"):
-            d.passages(basepoints=bps)
-        with pytest.raises(InvalidDiagramError, match="one edge on each of the 2"):
-            first_defect(d, basepoints=bps)
-        with pytest.raises(InvalidDiagramError, match="one edge on each of the 2"):
-            lambda_poly(d, basepoints=bps)
-    # refused also where the reductions at entry would leave it unused
-    with pytest.raises(InvalidDiagramError):
-        lambda_poly(parse_pd("Xr 1 1 2 2\n"), basepoints=(1, 2))
+    assert edge_walk.renumbered(d, None, (4, 2)).passages() == [
+        (1, False),
+        (0, True),
+        (0, False),
+        (1, True),
+    ]
 
 
 def test_strand_structure_matches_an_edge_walk():
@@ -369,8 +361,7 @@ def test_strand_structure_matches_an_edge_walk():
             order = rng.sample(range(len(comps)), len(comps))
             bps = [rng.choice(c) for c in comps]
             want = edge_walk.passages(x, order, bps)
-            assert x.passages(component_order=order, basepoints=bps) == want
-            assert x.passages(order, dict(enumerate(bps))) == want
+            assert edge_walk.renumbered(x, order, bps).passages() == want
             checked += 1
     assert checked > 3000
 

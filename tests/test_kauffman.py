@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import edge_walk
 import pytest
 
 from lmtkauffman import kauffman
@@ -100,25 +101,20 @@ def test_amphichiral_diagram_is_a_palindrome_in_a():
 
 
 def test_component_order_and_basepoints_do_not_matter():
+    # every component order, each with random basepoints, reached by
+    # numbering the edges along that traversal
     rng = random.Random(23)
-    checked = 0
-    while checked < 40:
+    moved = 0
+    for _ in range(40):
         d = random_closure(rng, 6)
-        parts = d.strand_components
+        comps = edge_walk.components(d)
         lam = lambda_poly(d)
-        for perm in itertools.permutations(range(len(parts))):
-            assert lambda_poly(d, component_order=perm) == lam
-        bps = tuple(rng.choice(c) for c in parts)
-        assert lambda_poly(d, basepoints=bps) == lam
-        checked += 1
-
-
-def test_memo_and_no_memo_agree(monkeypatch):
-    rng = random.Random(24)
-    ds = [random_closure(rng, 6) for _ in range(15)]
-    plain = [lambda_poly(d) for d in ds]
-    monkeypatch.setenv("LMT_NO_MEMO", "1")
-    assert [lambda_poly(d) for d in ds] == plain
+        for perm in itertools.permutations(range(len(comps))):
+            r = edge_walk.renumbered(d, perm, [rng.choice(c) for c in comps])
+            assert lambda_poly(r) == lam
+            moved += first_defect(r) != first_defect(d)
+    # the renumbered diagrams are expanded from other defects
+    assert moved > 20
 
 
 def test_shared_memo_is_transparent():
@@ -135,9 +131,11 @@ def test_shared_memo_is_transparent():
 def test_first_defect_depends_on_basepoint():
     assert first_defect(parse_pd("loops 1\n")) is None
     k = parse_pd("Xr 1 1 2 2\n")
-    # from edge 1 the curl is met under first; from edge 2, over first
+    # from edge 1 the curl is met under first; numbered from the other
+    # edge, the same curl is met over first
     assert first_defect(k) == 0
-    assert first_defect(k, basepoints=(2,)) is None
+    assert parse_pd("Xr 2 2 1 1\n") == edge_walk.renumbered(k, None, (2,))
+    assert first_defect(parse_pd("Xr 2 2 1 1\n")) is None
 
 
 def test_oriented_rescaling():

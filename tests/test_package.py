@@ -1,5 +1,9 @@
-"""The package's public surface is exactly what ``__all__`` lists."""
+"""The package's public surface is exactly what ``__all__`` lists, and
+nothing outside its arguments and input files steers it."""
 
+import importlib
+import inspect
+import pkgutil
 import types
 
 import lmtkauffman
@@ -16,3 +20,15 @@ def test_star_import_and_all_agree_with_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(lmtkauffman.__all__) - {"__version__"}
+
+
+def test_no_module_reads_the_environment():
+    # one engine path: no environment variable switches a cache or a check
+    modules = [lmtkauffman] + [
+        importlib.import_module(f"lmtkauffman.{m.name}")
+        for m in pkgutil.iter_modules(lmtkauffman.__path__)
+    ]
+    assert len(modules) > 5
+    for module in modules:
+        source = inspect.getsource(module)
+        assert "environ" not in source and "getenv" not in source, module.__name__

@@ -92,7 +92,8 @@ def test_specialization_identity_on_random_closures():
 def test_specialization_identity_shares_memo():
     memo = {}
     d = get("granny_sum").diagram()
-    r = check_specialization_identity(d, memo=memo)
+    lam = lambda_poly(d, memo=memo).substitute_z()
+    r = check_specialization_identity(d, lam=lam)
     assert r.passed and memo
     # the cached values must match a fresh run
     assert lambda_poly(d) == lambda_poly(d, memo=memo)
