@@ -20,7 +20,7 @@ from .kauffman import (
     lambda_poly,
     specialized_f,
 )
-from .laurent import LaurentA, LaurentAZ, NotDivisibleError, SpecializationError, format_poly
+from .laurent import LaurentA, LaurentAZ, SpecializationError, format_poly
 from .lmt import check_reversal_writhe, lmt_rhs, verify_all, verify_sublink_formula
 from .report import VerificationReport
 from .transfer import check_skein_identity, check_specialization_identity, g_tau
@@ -37,7 +37,6 @@ __all__ = [
     "InvalidDiagramError",
     "LaurentA",
     "LaurentAZ",
-    "NotDivisibleError",
     "OrientationMask",
     "PDSyntaxError",
     "SpecializationError",

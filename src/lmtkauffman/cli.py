@@ -156,6 +156,9 @@ def cmd_verify(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            print("error: corpus list takes no name", file=sys.stderr)
+            return 1
         for e in corpus.CORPUS:
             if args.porcelain:
                 print(e.name)
@@ -166,6 +169,9 @@ def cmd_corpus(args) -> int:
                     f"components={e.components} {e.notes}"
                 )
         return 0
+    if args.name is None:
+        print("error: corpus show needs a name", file=sys.stderr)
+        return 1
     try:
         entry = corpus.get(args.name)
     except KeyError:
@@ -223,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verb == "corpus" and args.action == "show" and args.name is None:
-        print("error: corpus show needs a name", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except (OSError, DiagramError) as exc:

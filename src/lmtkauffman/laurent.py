@@ -7,6 +7,11 @@ of a exponents only.  Coefficients are Python ints, so nothing here can
 overflow.  The term dict is canonical (no zero coefficients), which makes
 equality and hashing structural, also between the two classes.
 
+``LaurentAZ.substitute_z`` evaluates at z = -a - a^-1, the specialization
+the package checks.  It works on a plain dict of a exponents: Horner's
+rule gives z^N times the value, where z^-N is the lowest z power, and it
+divides by (1 + a^2)^N itself.
+
 :func:`format_poly` prints the text form, a sum of signed monomials
 ``c*a^i*z^j`` with the parts equal to 1 left out, for example
 ``-2*a^-1 + z^2`` or ``a + a^-1``.  Terms come in ascending order of
@@ -16,10 +21,6 @@ equality and hashing structural, also between the two classes.
 from __future__ import annotations
 
 from typing import Mapping
-
-
-class NotDivisibleError(ArithmeticError):
-    """Exact division was requested but no exact quotient exists."""
 
 
 class SpecializationError(ArithmeticError):
@@ -152,74 +153,47 @@ class LaurentAZ:
         """Substitute a -> a^-1, leaving z alone."""
         return self._from_pairs({(-a, z): c for (a, z), c in self._terms.items()})
 
-    def divide_exact(self, other: "LaurentAZ") -> "LaurentAZ":
-        """Return q with self == q * other, or raise NotDivisibleError.
-
-        Works term by term against the lexicographically largest term of
-        the divisor.  Every quotient exponent must land in the box fixed
-        by the extreme exponents of dividend and divisor, which bounds
-        the loop and turns "not divisible" into a definite failure
-        instead of a runaway descent.
-        """
-        cls = _result(self, other)
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return cls.zero()
-        box = []
-        for axis in (0, 1):
-            lo = min(e[axis] for e in self._terms) - min(e[axis] for e in other._terms)
-            hi = max(e[axis] for e in self._terms) - max(e[axis] for e in other._terms)
-            if lo > hi:
-                raise NotDivisibleError("no exact quotient")
-            box.append((lo, hi))
-        rem = dict(self._terms)
-        quot: dict = {}
-        lead = max(other._terms)
-        lead_c = other._terms[lead]
-        while rem:
-            e = max(rem)
-            q_e = (e[0] - lead[0], e[1] - lead[1])
-            q_c, r = divmod(rem[e], lead_c)
-            if r or not all(lo <= q_e[i] <= hi for i, (lo, hi) in enumerate(box)):
-                raise NotDivisibleError("no exact quotient")
-            quot[q_e] = q_c
-            for oe, oc in other._terms.items():
-                k = (q_e[0] + oe[0], q_e[1] + oe[1])
-                v = rem.get(k, 0) - q_c * oc
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return cls._from_pairs(quot)
-
     def substitute_z(self) -> LaurentA:
         """Evaluate at z = -a - a^-1 and return the result in a alone.
 
         The terms are grouped by z exponent and the groups evaluated by
-        Horner's rule, down to z^-N for the most negative exponent -N,
-        which gives z^N times the value; one exact division by
-        (-a - a^-1)^N then removes that factor.  If the division fails
-        the value is not a Laurent polynomial in a, which no well-formed
-        invariant computed here can produce, so the failure is raised as
-        SpecializationError.
+        Horner's rule on a plain {a_exp: coeff} dict, down to z^-N for the
+        most negative exponent -N, which gives z^N times the value.  As
+        z^N = (-1)^N a^-N (1 + a^2)^N, N synthetic divisions by 1 + a^2,
+        each read from the lowest exponent up, remove that factor.  A
+        nonzero remainder in the top two exponents means the value is not
+        a Laurent polynomial in a, which no well-formed invariant computed
+        here can produce, so it is raised as SpecializationError.
         """
         if not self:
             return LaurentA.zero()
-        neg = LaurentA({1: -1, -1: -1})
         groups: dict[int, dict[int, int]] = {}
         for (a_exp, z_exp), c in self._terms.items():
             groups.setdefault(z_exp, {})[a_exp] = c
         shift = max(0, -min(groups))
-        acc = LaurentA.zero()
+        acc: dict[int, int] = {}
         for z_exp in range(max(groups), -shift - 1, -1):
-            acc = acc * neg + LaurentA(groups.get(z_exp))
-        if shift:
-            try:
-                acc = acc.divide_exact(neg**shift)
-            except NotDivisibleError:
-                raise SpecializationError("specialization not Laurent") from None
-        return acc
+            nxt = dict(groups.get(z_exp, {}))
+            for e, c in acc.items():
+                nxt[e - 1] = nxt.get(e - 1, 0) - c
+                nxt[e + 1] = nxt.get(e + 1, 0) - c
+            acc = nxt
+        acc = {e: c for e, c in acc.items() if c}
+        if not acc:
+            return LaurentA.zero()
+        for _ in range(shift):
+            hi = max(acc)
+            quot: dict[int, int] = {}
+            for e in range(min(acc), hi - 1):
+                c = acc.pop(e, 0)
+                if c:
+                    quot[e] = c
+                    acc[e + 2] = acc.get(e + 2, 0) - c
+            if acc.get(hi - 1, 0) or acc.get(hi, 0):
+                raise SpecializationError("specialization not Laurent")
+            acc = quot
+        sign = (-1) ** shift
+        return LaurentA({e + shift: sign * c for e, c in acc.items()})
 
     def __str__(self) -> str:
         return format_poly(self)

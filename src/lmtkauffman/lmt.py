@@ -105,7 +105,7 @@ def verify_sublink_formula(
     return compare(subject, "sublink-formula", lhs, rhs)
 
 
-def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[VerificationReport]:
+def verify_all(d: Diagram, subject: str = "") -> list[VerificationReport]:
     """Every check this package knows, sharing one specialized lambda, g_tau and writhe.
 
     A diagram of more than MAX_VERIFY_COMPONENTS components raises
@@ -117,13 +117,13 @@ def verify_all(d: Diagram, mask: int = 0, subject: str = "") -> list[Verificatio
             f"verify handles at most {MAX_VERIFY_COMPONENTS} components, this diagram "
             f"has {com}: it would report 2^{com} reversal-writhe checks"
         )
-    w = d.writhe(mask)  # first, so that a bad mask is refused before the skein engine runs
+    w = d.writhe()
     lam = lambda_poly(d).substitute_z()
-    reports = [verify_sublink_formula(d, mask, subject=subject, lam=lam)]
+    reports = [verify_sublink_formula(d, subject=subject, lam=lam)]
     g = g_tau(d)
     reports.append(check_specialization_identity(d, subject=subject, g=g, lam=lam))
     for ci in range(len(d.crossings)):
         reports.append(check_skein_identity(d, ci, subject=subject, g=g))
     for s in range(1 << com):
-        reports.append(check_reversal_writhe(d, mask, s, subject=subject, writhe=w))
+        reports.append(check_reversal_writhe(d, 0, s, subject=subject, writhe=w))
     return reports

@@ -2,6 +2,7 @@ from lmtkauffman import cli, kauffman
 from lmtkauffman.cli import main
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.kauffman import lambda_poly
+from lmtkauffman.laurent import LaurentAZ
 
 HOPF = "Xr 1 3 4 2\nXr 3 1 2 4\n"
 
@@ -216,6 +217,15 @@ def test_compute_runs_the_skein_recursion_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_specialization_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # z^-1 has no value at z = -a - a^-1 in Laurent polynomials of a
+    monkeypatch.setattr(cli, "lambda_poly", lambda d: LaurentAZ({(0, -1): 1}))
+    path = write(tmp_path, HOPF)
+    code, _, err = run(capsys, "compute", path, "--specialize")
+    assert code == 2
+    assert err == "internal error: specialization not Laurent\n"
+
+
 def test_verify_file(tmp_path, capsys):
     path = write(tmp_path, HOPF)
     code, out, _ = run(capsys, "verify", path)
@@ -363,3 +373,9 @@ def test_corpus_show_unknown_name(capsys):
 def test_corpus_show_without_name(capsys):
     code, out, err = run(capsys, "corpus", "show")
     assert code == 1 and "name" in err
+
+
+def test_corpus_list_takes_no_name(capsys):
+    code, out, err = run(capsys, "--porcelain", "corpus", "list", "extra")
+    assert code == 1 and out == ""
+    assert err == "error: corpus list takes no name\n"
