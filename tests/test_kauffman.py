@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import edge_walk
 import pytest
@@ -265,6 +266,65 @@ def test_large_closures_take_few_switches(monkeypatch):
         calls.clear()
         lambda_poly(d)
         assert len(calls) <= 5000, len(calls)
+
+
+# The Kauffman bracket <D> = A<smooth A> + A^-1<smooth B>, with a split
+# circle worth -A^2 - A^-2 and <O> = 1, is lambda at a = -A^3,
+# z = A + A^-1 (Kauffman, "An invariant of regular isotopy", Trans. AMS
+# 318, 1990): the bracket rule at a crossing and at its switch adds up to
+# the skein rule, a positive curl is worth -A^3, and (a + a^-1) z^-1 - 1
+# becomes -A^2 - A^-2.  The state sum below shares nothing with the engine.
+_A_PAIR = LaurentA({1: 1, -1: 1})
+_BRACKET_DELTA = LaurentA({2: -1, -2: -1})
+
+
+def _at_bracket(lam):
+    # (N, (A + A^-1)^N * lam(a = -A^3, z = A + A^-1)), N the deepest z^-1
+    # power, so that every term is a Laurent polynomial in A
+    n = max(0, -min(j for _, j in lam.terms))
+    total = LaurentA.zero()
+    for (i, j), c in lam.terms.items():
+        total += LaurentA({3 * i: (-1) ** i * c}) * _A_PAIR ** (j + n)
+    return n, total
+
+
+def _state_sum(d, joins_a=((0, 1), (2, 3)), joins_b=((0, 3), (1, 2))):
+    # sum over the 2^n states of A^(#A - #B) * delta^(loops - 1), where a
+    # state joins the record slots of each crossing as joins_a or joins_b
+    # and its loops are counted by union-find over the edge ids
+    n = len(d.crossings)
+    states = Counter()
+    for state in range(1 << n):
+        root = list(range(2 * n + 1))
+
+        def find(e):
+            while root[e] != e:
+                root[e] = root[root[e]]
+                e = root[e]
+            return e
+
+        for h, c in enumerate(d.crossings):
+            for s, t in joins_a if state >> h & 1 else joins_b:
+                root[find(c.edges[s])] = find(c.edges[t])
+        loops = d.free_loops + sum(find(e) == e for e in range(1, 2 * n + 1))
+        states[2 * bin(state).count("1") - n, loops] += 1
+    return sum(
+        (LaurentA({k: m}) * _BRACKET_DELTA ** (loops - 1) for (k, loops), m in states.items()),
+        LaurentA.zero(),
+    )
+
+
+def test_bracket_oracle():
+    rng = random.Random(5)
+    diagrams = [e.diagram() for e in CORPUS] + [random_closure(rng, 9) for _ in range(60)]
+    swapped_holds = 0
+    for d in diagrams:
+        n, lhs = _at_bracket(lambda_poly(d))
+        assert lhs == _A_PAIR**n * _state_sum(d), d
+        swapped = _state_sum(d, joins_a=((0, 3), (1, 2)), joins_b=((0, 1), (2, 3)))
+        swapped_holds += lhs == _A_PAIR**n * swapped
+    # the oracle tells the two smoothings apart
+    assert swapped_holds < len(diagrams) // 2, swapped_holds
 
 
 def test_curls_strip_to_a_power_of_a():
