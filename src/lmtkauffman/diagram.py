@@ -33,9 +33,10 @@ The text format accepted by :func:`parse_pd` has an optional first line
 Input is validated once, where it enters: ``Diagram(...)`` checks edge
 ids and roles and that the records can be drawn in the plane, so every
 diagram is well formed and planar.  Edits that are valid by construction
-(switch, mirror, smoothing, R2 removal, union, braid closure, curls,
-pokes) build trusted diagrams through ``_trusted``, which skips the
-checks.
+(switch, mirror, smoothing, union, braid closure, curls, pokes) build
+trusted diagrams through ``_trusted``, which skips the checks.  The skein
+recursion builds no diagram: it works on end arrays and strands (a
+``Node``), with ``_switched``, ``_walk`` and ``_renumber``.
 """
 
 from __future__ import annotations
@@ -323,18 +324,6 @@ class Diagram:
             )
         return total // 2
 
-    # -- traversal --------------------------------------------------------
-
-    def passages(self) -> list[tuple[int, bool]]:
-        """Crossing visits in traversal order as (crossing, is_under).
-
-        Components are walked in index order, each from its smallest
-        edge.  That fixes one traversal; renumbering the edges 1, 2, ...
-        along another component order or from other starting edges gives
-        a diagram whose passages follow that one.
-        """
-        return [(x >> 2, not x & 1) for cyc in self._strands for x in cyc]
-
     # -- editing ----------------------------------------------------------
 
     def switch(self, ci: int) -> "Diagram":
@@ -342,27 +331,9 @@ class Diagram:
         if not 0 <= ci < len(self.crossings):
             raise InvalidDiagramError(f"crossing not found: {ci}")
         cs = list(self.crossings)
-        c = cs[ci] = cs[ci].switched()
-        # the strands run as before; only this crossing's slots move, each
-        # by one place: old slot s is new slot s + turn
-        b = 4 * ci
-        turn = _OVER_ENTRY[c.tag]  # the old under entry is the new over entry
-
-        def moved(x: int) -> int:
-            return b + (x + turn) % 4 if x >> 2 == ci else x
-
-        old = self._mate
-        mate = list(old)
-        for x in range(b, b + 4):
-            y = moved(old[x])
-            mate[moved(x)] = y
-            mate[y] = moved(x)
-        return _trusted(
-            tuple(cs),
-            self.free_loops,
-            _strands=tuple(tuple(map(moved, cyc)) for cyc in self._strands),
-            _mate=tuple(mate),
-        )
+        cs[ci] = cs[ci].switched()
+        mate, strands = _switched(self._mate, self._strands, ci)
+        return _trusted(tuple(cs), self.free_loops, _strands=strands, _mate=mate)
 
     def mirror(self) -> "Diagram":
         """Exchange over and under strands everywhere."""
@@ -545,64 +516,93 @@ def faces(d: Diagram) -> list[tuple[int, ...]]:
     return out
 
 
+# A diagram as the skein recursion holds it: an end array over crossings
+# 0..n-1 whose even slots are the under-strand, and its strands.
+Node = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _switched(mate: Sequence[int], strands: Sequence[Sequence[int]], x: int) -> Node:
+    """The node with crossing x's levels exchanged, its strands running as before.
+
+    x's slots each move one place, the old over-strand entry to slot 0.
+    """
+    b = 4 * x
+    turn = 1 if any(b + 3 in cyc for cyc in strands) else 3
+
+    def moved(y: int) -> int:
+        return b + (y + turn) % 4 if y >> 2 == x else y
+
+    out = list(mate)
+    for y in range(b, b + 4):
+        z = moved(mate[y])
+        out[moved(y)] = z
+        out[z] = moved(y)
+    return tuple(out), tuple(tuple(map(moved, cyc)) for cyc in strands)
+
+
+def _walk(handles: Iterable[int], mate: Sequence[int]) -> list[list[int]]:
+    """The strands of handles' crossings in an end array, as cycles of arrival ends.
+
+    Each is walked from the smallest end not yet passed, taken as an
+    arrival, and its cycle ends there.
+    """
+    seen = [True] * len(mate)  # the ends of other handles count as passed
+    for h in handles:
+        seen[4 * h : 4 * h + 4] = [False] * 4
+    strands = []
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while x != start or not cyc:
+            seen[x] = seen[x ^ 2] = True
+            x = mate[x ^ 2]
+            cyc.append(x)
+        strands.append(cyc)
+    return strands
+
+
+def _renumber(handles: Iterable[int], mate: Sequence[int]) -> Node:
+    """handles' crossings as a node, walked by ``_walk`` and renumbered.
+
+    The crossings are numbered in the order the walk meets them, each
+    from its under-strand entry (slot 0) on, counterclockwise.
+    """
+    strands = _walk(handles, mate)
+    arrives = {x for cyc in strands for x in cyc}
+    moved = [-1] * len(mate)  # old end -> new end
+    old_ends: list[int] = []
+    for cyc in strands:
+        for x in (cyc[-1], *cyc):  # the walk starts at cyc[-1]
+            b = x & ~3
+            if moved[b] < 0:
+                x0 = b if b in arrives else b + 2
+                for y in (x0, x0 + 1, x0 ^ 2, x0 ^ 3):
+                    moved[y] = len(old_ends)
+                    old_ends.append(y)
+    renumbered = tuple(tuple(moved[x] for x in cyc) for cyc in strands)
+    return tuple(moved[mate[x]] for x in old_ends), renumbered
+
+
 def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) -> Diagram:
     """Rebuild crossing records from bare crossing geometry.
 
     handles name the surviving crossings; mate is an end array over
-    them (see ``Diagram._mate``), pairing their ends 4 * handle + slot
-    along the connecting arcs; entries of other handles are ignored.
-    Under-strand diagonals are the even slots.  The strands are
-    retraversed from the smallest unused end, edges renumbered in
-    traversal order, and each record's tag rederived from where the two
-    passes enter.  Each traversal is a component, a run of consecutive
-    edge ids from its smallest; the ends it arrives at, in order, are the
-    result's ``_strands``, and its end array comes along too.
+    them (see ``Diagram._mate``) whose even slots are the under-strand;
+    entries of other handles are ignored.  ``_renumber`` gives the
+    result's ``_mate`` and ``_strands``; edges are numbered along the
+    strands, and each tag is read from where the over-strand enters.
     """
-    arc = [0] * len(mate)  # arc id at each end, 0 while unused
-    under = [0] * (len(mate) // 4)  # slot where each under-strand enters
-    over = under[:]
-    met = [False] * len(under)
-    order: list[int] = []  # handles in the order the traversal first meets them
-    strands = []  # arrival ends of each traversal, from its first edge's
-    next_arc = 1
-    for handle in sorted(handles):
-        for start in range(4 * handle, 4 * handle + 4):
-            if arc[start]:
-                continue
-            cyc = []
-            cur = start
-            while True:
-                h = cur >> 2
-                if not met[h]:
-                    met[h] = True
-                    order.append(h)
-                (over if cur & 1 else under)[h] = cur & 3
-                exit_end = cur ^ 2
-                cur = mate[exit_end]
-                arc[exit_end] = arc[cur] = next_arc
-                next_arc += 1
-                cyc.append(cur)
-                if cur == start:
-                    break
-            strands.append(cyc)
-    records = []
-    moved = [0] * len(mate)  # old end -> new end
-    old_ends: list[int] = []
-    for i, h in enumerate(order):
-        x0 = 4 * h + under[h]  # under[h] is 0 or 2
-        ends = (x0, x0 + 1, x0 ^ 2, x0 ^ 3)  # record slots 0-3, from the under entry
-        old_ends += ends
-        for k in range(4):
-            moved[ends[k]] = 4 * i + k
-        edges = tuple(arc[x] for x in ends)
-        o = (over[h] - under[h]) % 4  # record slot of the over entry, 1 or 3
-        records.append(Crossing(edges, "l" if o == 1 else "r"))
-    return _trusted(
-        tuple(records),
-        free_loops,
-        _strands=tuple(tuple(moved[x] for x in cyc) for cyc in strands),
-        _mate=tuple(moved[mate[x]] for x in old_ends),
-    )
+    mate, strands = _renumber(handles, mate)
+    edges = [0] * len(mate)
+    tags = ["r"] * (len(mate) // 4)
+    for e, x in enumerate((x for cyc in strands for x in cyc), 1):
+        edges[x] = edges[mate[x]] = e
+        if x & 3 == 1:
+            tags[x >> 2] = "l"
+    records = tuple(Crossing(tuple(edges[4 * h : 4 * h + 4]), t) for h, t in enumerate(tags))
+    return _trusted(records, free_loops, _strands=strands, _mate=mate)
 
 
 def parse_pd(text: str) -> Diagram:

@@ -10,21 +10,24 @@ switched pair and the two smoothings satisfy
 A union with a split circle multiplies the value by
 delta = (a + a^-1) z^-1 - 1.
 
-The computation descends on diagrams: walking each strand from its
-smallest edge, a crossing first met on its under-strand is a defect.  With
-no defects the diagram is a stack of unknotted components and the value
-is a^(self writhe) * delta^(components - 1); otherwise the first defect
-is resolved with the switch rule above.  Switching never touches the
-strand structure, so the defect count drops by exactly one, and each
-smoothing removes a crossing, which makes the recursion finite.
+The recursion runs on nodes, not on ``Diagram``s.  A node is an end array
+(entry 4h + s is the end that the edge at slot s of crossing h runs to,
+the even slots the under-strand, as ``Diagram._mate``) and its strands,
+the cycles of ends the edges arrive at (``Diagram._strands``).  Walking
+the strands in order, a crossing first met on its under-strand is a
+defect.  With no defects the diagram is a stack of unknotted components
+and the value is a^(self writhe) * delta^(components - 1); otherwise the
+first defect is resolved with the switch rule above.  The switch
+(``diagram._switched``) keeps the strands, so the defect count drops by
+exactly one, and each smoothing removes a crossing, which makes the
+recursion finite.
 
-Only reduced diagrams are expanded: no curl, no R2 bigon, no free loop.
-``_reduce`` builds each child of an expanded diagram (its switch, its A
-and B smoothings), and the input itself, on a copy of the parent's flat
-end array ``Diagram._mate`` (entry 4h + s is the end that the edge at
-slot s of crossing h runs to).  It first removes the crossing being
-smoothed, then takes a crossing at a time from a work list and applies
-the first of these exact rules that fits, until the list is empty:
+Only reduced nodes are expanded: no curl, no R2 bigon, no free loop.
+``_reduce`` builds each child of an expanded node (its switch, its A and
+B smoothings), and the input itself, on a copy of the parent's end
+array.  It first removes the crossing being smoothed, then takes a
+crossing at a time from a work list and applies the first of these
+exact rules that fits, until the list is empty:
 
 1. curl: slots s and s + 1 of one crossing are joined by an edge.  The
    smoothing that keeps the strand whole (``B`` for even s, ``A`` for
@@ -39,26 +42,20 @@ the first of these exact rules that fits, until the list is empty:
 A removal touches O(1) entries of the array and puts the crossings next
 to it on the list, which is where a new curl or bigon can appear.
 Strands that close up with no crossing left are split circles, worth
-delta each, as are free loops beside crossings.  The child's records are
-then rebuilt once, by ``_reassemble``; a child the rules leave whole
-keeps its records, and a switch keeps every label.
-
-A curl's sign comes from slot parity, not from the crossing's tag.  The
-array keeps each crossing's slots, and even slots stay the under-strand,
-so which two adjacent slots a curl joins fixes its sign.  The tag is
-relative to the record's reference direction, which a smoothing
-elsewhere can reverse, so after removals on the array the parent's tags
-no longer describe the strands: reading the sign from them gets even
-the clasp wrong.
+delta each, as are free loops beside crossings.  A child that lost
+crossings is walked and renumbered once, by ``diagram._renumber``; a
+child the rules leave whole is kept as it is.  A curl's sign comes from
+slot parity: even slots stay the under-strand, so which two adjacent
+slots a curl joins fixes its sign, whichever way the strands run.
 
 ``f_oriented`` rescales by a^(-writhe), which makes the value stable
 under curls as well, and ``specialized_f`` evaluates that at
 z = -a - a^-1.
 
-Intermediate results are cached per invocation under the crossing
-records of the reduced diagrams.  Reassembly renumbers deterministically
-and switches keep every label, so equal records mean an equal diagram
-and the key costs no search.
+Intermediate results are cached per invocation under the end array of
+each reduced node.  The array fixes the diagram (slots counterclockwise,
+the even ones under), so equal keys have equal values whatever the
+strands, and it holds no edge ids, so the key costs no search.
 """
 
 from __future__ import annotations
@@ -66,7 +63,8 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .diagram import SMOOTHING, STRAIGHT, Diagram, DiagramError, _reassemble, _trusted, _unplug
+from .diagram import SMOOTHING, STRAIGHT, Diagram, DiagramError, Node
+from .diagram import _renumber, _sign_table_of, _switched, _unplug
 from .laurent import LaurentA, LaurentAZ
 
 # Value of one extra split circle.
@@ -95,36 +93,36 @@ def _a_delta(k: int, loops: int) -> LaurentAZ:
     )
 
 
-def first_defect(d: Diagram) -> int | None:
-    """First crossing met on its under-strand, or None if descending."""
+def first_defect(strands: Iterable[Sequence[int]]) -> int | None:
+    """First crossing met under along a node's strands, or None if descending."""
     seen: set[int] = set()
-    for ci, under in d.passages():
-        if ci in seen:
-            continue
-        seen.add(ci)
-        if under:
-            return ci
+    for cyc in strands:
+        for x in cyc:
+            h = x >> 2
+            if h not in seen:
+                if not x & 1:
+                    return h
+                seen.add(h)
     return None
 
 
 def _reduce(
-    d: Diagram, pairings: Mapping[int, Sequence[int]], check: Iterable[int]
-) -> tuple[int, int, Diagram | None]:
-    """d with pairings' crossings removed, then stripped by the exact rules.
+    node: Node, pairings: Mapping[int, Sequence[int]], check: Iterable[int]
+) -> tuple[int, int, Node | None]:
+    """node with pairings' crossings removed, then stripped by the exact rules.
 
     pairings maps crossings to slot pairings (``SMOOTHING``).  check
-    names the crossings of d that may carry a curl or an R2 bigon; the
+    names the crossings of node that may carry a curl or an R2 bigon; the
     neighbours of each removed crossing are checked as well, which is
     where new ones appear.  Returns (k, loops, r) such that the value of
-    the result is a^k * delta^loops times the value of r, where r has no
-    curl, no R2 bigon and no free loop; r is None when no crossing is
-    left, standing for one circle.
+    the result is a^k * delta^loops times the value of r, a node with no
+    curl, no R2 bigon and no free loop, or None when no crossing is left,
+    standing for one circle.
     """
-    n = len(d.crossings)
-    mate = list(d._mate)
+    mate = list(node[0])
+    n = len(mate) // 4
     alive = [True] * n
-    k = 0
-    loops = d.free_loops
+    k = loops = 0
     todo = list(check)
 
     def remove(h: int, pairing: Sequence[int]) -> None:
@@ -157,53 +155,54 @@ def _reduce(
     kept = [h for h in range(n) if alive[h]]
     if not kept:
         return k, loops - 1, None
-    if len(kept) < n:
-        return k, loops, _reassemble(kept, mate, 0)
-    if not d.free_loops:
-        return 0, 0, d
-    return 0, loops, _trusted(d.crossings, 0, _strands=d._strands, _mate=d._mate)
+    return k, loops, node if len(kept) == n else _renumber(kept, mate)
 
 
 def lambda_poly(d: Diagram, *, memo: dict | None = None) -> LaurentAZ:
     """The framed-link polynomial of the diagram.
 
-    The defects are read along ``Diagram.passages``, one fixed traversal.
+    The defects are read along ``Diagram._strands``, one fixed traversal.
     Any other component order or starting edges give the same
     polynomial; the tests reach every such traversal by renumbering the
-    edges along it.  memo, if given, is shared across calls, which is
-    safe for that reason.  Every diagram is planar (its constructor
-    refuses records that are not), so every nonempty one has a value.
+    edges along it.  memo, if given, maps end arrays to values and is
+    shared across calls, which is safe for that reason.  Every diagram is
+    planar (its constructor refuses records that are not), so every
+    nonempty one has a value.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
-    return _child(d, {}, range(len(d.crossings)), {} if memo is None else memo)
+    memo = {} if memo is None else memo
+    return _child((d._mate, d._strands), {}, range(len(d.crossings)), memo, d.free_loops)
 
 
-def _child(d, pairings, check, memo) -> LaurentAZ:
-    # the value of d with pairings' crossings removed
-    k, loops, r = _reduce(d, pairings, check)
+def _child(node, pairings, check, memo, loops=0) -> LaurentAZ:
+    # the value of node with pairings' crossings removed, beside loops
+    # split circles
+    k, more, r = _reduce(node, pairings, check)
+    loops += more
     if r is None:
         return _a_delta(k, loops)
     val = _lambda(r, memo)
     return _a_delta(k, loops) * val if k or loops else val
 
 
-def _lambda(d, memo) -> LaurentAZ:
-    # d is reduced, so its children need checking only where they changed:
-    # a switch can make a bigon only at the switched crossing, and a
-    # smoothing only next to the smoothed one
-    hit = memo.get(d.crossings)
+def _lambda(node, memo) -> LaurentAZ:
+    # node is reduced, so its children need checking only where they
+    # changed: a switch can make a bigon only at the switched crossing,
+    # and a smoothing only next to the smoothed one
+    mate, strands = node
+    hit = memo.get(mate)
     if hit is not None:
         return hit
-    x = first_defect(d)
+    x = first_defect(strands)
     if x is None:
-        val = _a_delta(d.self_writhe(), d.num_components - 1)
+        val = _a_delta(_sign_table_of(strands, len(mate))[0], len(strands) - 1)
     else:
-        val = -_child(d.switch(x), {}, (x,), memo) + _Z * (
-            _child(d, {x: SMOOTHING["A"]}, (), memo)
-            + _child(d, {x: SMOOTHING["B"]}, (), memo)
+        val = -_child(_switched(mate, strands, x), {}, (x,), memo) + _Z * (
+            _child(node, {x: SMOOTHING["A"]}, (), memo)
+            + _child(node, {x: SMOOTHING["B"]}, (), memo)
         )
-    memo[d.crossings] = val
+    memo[mate] = val
     return val
 
 

@@ -25,8 +25,9 @@ of the recursion; only the order of summation changes.
 
 ``check_skein_identity`` builds no diagram: the switch's sum is the
 diagram's sign table with one sign changed, and each smoothing's comes
-from the table (``diagram._sign_table_of``) of its strands, walked once
-on a copy of the end array with the crossing unplugged.
+from the table (``diagram._sign_table_of``) of the strands that
+``diagram._walk`` finds in a copy of the end array with the crossing
+unplugged.
 
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .diagram import SMOOTHING, TAG_SIGN, Diagram, DiagramError, InvalidDiagramError
-from .diagram import _sign_table_of, _unplug
+from .diagram import _sign_table_of, _unplug, _walk
 from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
@@ -141,22 +142,10 @@ def _switched_sum(d: Diagram, ci: int) -> LaurentA:
 
 
 def _smoothed_sum(d: Diagram, ci: int, which: str) -> LaurentA:
-    # g_tau(d.smooth(ci, which)): each strand of the rewired end array is
-    # walked once, in whichever direction it is met first
+    # g_tau(d.smooth(ci, which)): the strands of the rewired end array
     mate = list(d._mate)
     loops = _unplug(mate, ci, SMOOTHING[which])
-    seen = [False] * len(mate)
-    seen[4 * ci : 4 * ci + 4] = [True] * 4
-    strands = []
-    for start in range(len(mate)):
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = seen[x ^ 2] = True
-            cyc.append(x)
-            x = mate[x ^ 2]
-        if cyc:
-            strands.append(cyc)
+    strands = _walk((h for h in range(len(d.crossings)) if h != ci), mate)
     com = len(strands) + d.free_loops + loops
     return _orientation_sum(com, *_sign_table_of(strands, len(mate)))
 

@@ -15,6 +15,7 @@ from lmtkauffman.diagram import (
     PDSyntaxError,
     parse_pd,
     _reassemble,
+    _sign_table_of,
     to_pd_text,
 )
 from lmtkauffman.kauffman import lambda_poly
@@ -317,17 +318,24 @@ def test_distant_union():
     assert Diagram((), 0).distant_union(d1) == d1
 
 
+def _passages(d):
+    # (crossing, is_under) per arrival along _strands, the traversal the
+    # skein engine reads defects from: components in index order, each
+    # from its smallest edge
+    return [(x >> 2, not x & 1) for cyc in d._strands for x in cyc]
+
+
 def test_passages_and_basepoints():
     d = parse_pd(HOPF_POS)
-    assert d.passages() == [(0, True), (1, False), (0, False), (1, True)]
+    assert _passages(d) == [(0, True), (1, False), (0, False), (1, True)]
     # other traversals are the defaults of renumbered copies
-    assert edge_walk.renumbered(d, (1, 0)).passages() == [
+    assert _passages(edge_walk.renumbered(d, (1, 0))) == [
         (0, False),
         (1, True),
         (0, True),
         (1, False),
     ]
-    assert edge_walk.renumbered(d, None, (4, 2)).passages() == [
+    assert _passages(edge_walk.renumbered(d, None, (4, 2))) == [
         (1, False),
         (0, True),
         (0, False),
@@ -357,11 +365,11 @@ def test_strand_structure_matches_an_edge_walk():
             assert x.strand_components == comps
             assert x.num_components == len(comps) + x.free_loops
             assert x._crossing_comps == edge_walk.crossing_comps(x)
-            assert x.passages() == edge_walk.passages(x)
+            assert _passages(x) == edge_walk.passages(x)
             order = rng.sample(range(len(comps)), len(comps))
             bps = [rng.choice(c) for c in comps]
             want = edge_walk.passages(x, order, bps)
-            assert edge_walk.renumbered(x, order, bps).passages() == want
+            assert _passages(edge_walk.renumbered(x, order, bps)) == want
             checked += 1
     assert checked > 3000
 
@@ -515,6 +523,23 @@ def _audit(x):
         assert getattr(x, name) == getattr(fresh, name), name
 
 
+def _audit_node(node):
+    # a skein node is an end array and its strands: rebuilt as records it
+    # is a planar diagram, and its strands walk the array, arriving at
+    # each crossing once at an even (under) end and once at an odd one,
+    # with the self-writhe and components of the rebuilt diagram
+    mate, strands = node
+    n = len(mate) // 4
+    d = _reassemble(range(n), mate, 0)
+    _audit(d)
+    for cyc in strands:
+        assert all(mate[x ^ 2] == y for x, y in zip(cyc, cyc[1:] + cyc[:1]))
+    ends = sorted((x >> 2, x & 1) for cyc in strands for x in cyc)
+    assert ends == [(h, p) for h in range(n) for p in (0, 1)]
+    assert len(strands) == d.num_components
+    assert _sign_table_of(strands, len(mate))[0] == d.self_writhe()
+
+
 def test_trusted_constructions_match_validated_ones(monkeypatch):
     rng = random.Random(14)
     diagrams = [e.diagram() for e in CORPUS]
@@ -536,14 +561,14 @@ def test_trusted_constructions_match_validated_ones(monkeypatch):
         outputs += pokes
         for p in pokes:
             # each poke makes an R2 bigon, which the skein engine's reducer removes
-            r = kauffman._reduce(p, {}, range(len(p.crossings)))[2]
+            r = kauffman._reduce((p._mate, p._strands), {}, range(len(p.crossings)))[2]
             if r is not None:
-                assert len(r.crossings) < len(p.crossings)
-                outputs.append(r)
+                assert len(r[0]) < len(p._mate)
+                _audit_node(r)
         for x in outputs:
             _audit(x)
-    # every diagram the reducer is given and every one it builds, the
-    # loop-stripped copies of diagrams with free loops included
+    # every node the reducer is given and every one it builds; a diagram
+    # with free loops beside its crossings is reduced from its own node
     calls = []
     inner = kauffman._reduce
 
@@ -553,15 +578,23 @@ def test_trusted_constructions_match_validated_ones(monkeypatch):
         return out
 
     monkeypatch.setattr(kauffman, "_reduce", recording)
+    roots = []
     for d in diagrams[:20]:
-        lambda_poly(d.distant_union(Diagram((), 2)))
+        looped = d.distant_union(Diagram((), 2))
+        roots.append((looped, len(calls)))
+        lambda_poly(looped)
         if d.crossings:
             lambda_poly(all_pokes(d, limit=1)[0])
-    assert any(x.free_loops and r is not None and r.crossings is x.crossings for x, r in calls)
-    assert any(r is not None and r.crossings is not x.crossings for x, r in calls)
+    # loop-stripped: the free loops are counted apart and the node kept
+    assert any(
+        u.crossings and calls[i][0][0] is u._mate and calls[i][1] is calls[i][0]
+        for u, i in roots
+    )
+    # reassembled
+    assert any(r is not None and r[0] is not x[0] for x, r in calls)
     for x, r in calls:
-        _audit(x)
+        _audit_node(x)
         if r is not None:
-            _audit(r)
-            # checked everywhere, a reduced diagram has nothing left to strip
-            assert inner(r, {}, range(len(r.crossings))) == (0, 0, r)
+            _audit_node(r)
+            # checked everywhere, a reduced node has nothing left to strip
+            assert inner(r, {}, range(len(r[0]) // 4)) == (0, 0, r)

@@ -5,10 +5,18 @@ from collections import Counter
 import edge_walk
 import pytest
 
+from lmtkauffman import diagram as diagram_module
 from lmtkauffman import kauffman
 from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import CORPUS, get
-from lmtkauffman.diagram import Crossing, Diagram, InvalidDiagramError, parse_pd
+from lmtkauffman.diagram import (
+    Crossing,
+    Diagram,
+    InvalidDiagramError,
+    _reassemble,
+    _switched,
+    parse_pd,
+)
 from lmtkauffman.kauffman import (
     DELTA,
     EmptyDiagramError,
@@ -113,7 +121,7 @@ def test_component_order_and_basepoints_do_not_matter():
         for perm in itertools.permutations(range(len(comps))):
             r = edge_walk.renumbered(d, perm, [rng.choice(c) for c in comps])
             assert lambda_poly(r) == lam
-            moved += first_defect(r) != first_defect(d)
+            moved += first_defect(r._strands) != first_defect(d._strands)
     # the renumbered diagrams are expanded from other defects
     assert moved > 20
 
@@ -130,13 +138,13 @@ def test_shared_memo_is_transparent():
 
 
 def test_first_defect_depends_on_basepoint():
-    assert first_defect(parse_pd("loops 1\n")) is None
+    assert first_defect(parse_pd("loops 1\n")._strands) is None
     k = parse_pd("Xr 1 1 2 2\n")
     # from edge 1 the curl is met under first; numbered from the other
     # edge, the same curl is met over first
-    assert first_defect(k) == 0
+    assert first_defect(k._strands) == 0
     assert parse_pd("Xr 2 2 1 1\n") == edge_walk.renumbered(k, None, (2,))
-    assert first_defect(parse_pd("Xr 2 2 1 1\n")) is None
+    assert first_defect(parse_pd("Xr 2 2 1 1\n")._strands) is None
 
 
 def test_oriented_rescaling():
@@ -161,7 +169,7 @@ def _plain_lambda(d):
     # the defining recursion with no memo and none of the engine's rules
     # (split circles, curls, R2 bigons): the reference the engine must
     # agree with
-    x = first_defect(d)
+    x = first_defect(d._strands)
     if x is None:
         return LaurentAZ.monomial(1, d.self_writhe()) * DELTA ** (d.num_components - 1)
     return -_plain_lambda(d.switch(x)) + Z * (
@@ -182,6 +190,11 @@ def _nested_curls(d, signs):
     return d
 
 
+def _node(d):
+    # the skein engine's form of a diagram: its end array and strands
+    return d._mate, d._strands
+
+
 def _cascading_inputs():
     # inputs on which one reduction exposes the next
     out = []
@@ -193,10 +206,11 @@ def _cascading_inputs():
     # an R2 bigon: the two letters of sigma_i^2
     for word in ([1, 1, 1, 2, 1, 2], [1, 1, 2, 1, 2], [1, 1, 1, -2, -2]):
         d = braid_closure(word, 3)
-        x = first_defect(d)
-        assert kauffman._reduce(d, {}, range(len(d.crossings))) == (0, 0, d)
-        switched = kauffman._reduce(d.switch(x), {}, (x,))[2]
-        assert switched is None or len(switched.crossings) < len(d.crossings) - 1
+        x = first_defect(d._strands)
+        node = _node(d)
+        assert kauffman._reduce(node, {}, range(len(d.crossings))) == (0, 0, node)
+        switched = kauffman._reduce(_switched(*node, x), {}, (x,))[2]
+        assert switched is None or len(switched[0]) < 4 * (len(d.crossings) - 1)
         out.append(d)
     # a strand pushed across a curl's loop: the curl comes back only once
     # the R2 bigon the push made is removed
@@ -204,7 +218,7 @@ def _cascading_inputs():
         kinked = add_kink(get(name).diagram(), 1, positive=name == "hopf_pos")
         pokes = [p for p in all_pokes(kinked) if not _has_curl(p)][:3]
         for p in pokes:
-            assert kauffman._reduce(p, {}, range(len(p.crossings)))[0] != 0
+            assert kauffman._reduce(_node(p), {}, range(len(p.crossings)))[0] != 0
         out += pokes
     assert len(out) == 12
     # all of these beside free loops
@@ -253,19 +267,20 @@ def test_chain_is_a_power_of_the_hopf_value():
 
 def test_large_closures_take_few_switches(monkeypatch):
     # the split-circle and R2 rules keep the skein tree small; the bound
-    # counts switches, not seconds, so it does not depend on the machine
+    # counts the engine's switch children, not seconds, so it does not
+    # depend on the machine
     calls = []
-    switch = Diagram.switch
+    switched = kauffman._switched
 
-    def counted(self, ci):
-        calls.append(ci)
-        return switch(self, ci)
+    def counted(mate, strands, x):
+        calls.append(x)
+        return switched(mate, strands, x)
 
-    monkeypatch.setattr(Diagram, "switch", counted)
+    monkeypatch.setattr(kauffman, "_switched", counted)
     for d in (_chain(10), braid_closure([1, -2] * 8, 3)):
         calls.clear()
         lambda_poly(d)
-        assert len(calls) <= 5000, len(calls)
+        assert 0 < len(calls) <= 5000, len(calls)
 
 
 # The Kauffman bracket <D> = A<smooth A> + A^-1<smooth B>, with a split
@@ -357,22 +372,44 @@ def test_odd_crossings_rejected_at_engine_entry():
 
 
 def test_skein_recursion_validates_no_diagram(monkeypatch):
-    # the recursion's switches and smoothings are built trusted: only the
-    # boundary runs Diagram's checks
+    # the recursion runs on end arrays: it neither validates a diagram nor
+    # builds a trusted one; only the boundary runs Diagram's checks
     d = get("borromean").diagram()
     assert len(d.crossings) == 6
     # a poke adds an R2 bigon, the loops split circles
     poked = first_poke(d).distant_union(Diagram((), 2))
     calls = []
     validate = Diagram.__post_init__
+    trusted = diagram_module._trusted
 
     def counted(self):
         calls.append(self)
         validate(self)
 
+    def counted_trusted(*args, **derived):
+        calls.append(args)
+        return trusted(*args, **derived)
+
     monkeypatch.setattr(Diagram, "__post_init__", counted)
+    monkeypatch.setattr(diagram_module, "_trusted", counted_trusted)
     lambda_poly(d)
     lambda_poly(poked)
     assert calls == []
     Diagram(d.crossings, d.free_loops)
     assert len(calls) == 1
+    d.switch(0)
+    assert len(calls) == 2
+
+
+def test_memo_keys_are_sound():
+    # every key is the end array of a diagram, rebuilt from it alone: it
+    # passes the constructor's checks and has the value stored under it
+    rng = random.Random(27)
+    memo = {}
+    for _ in range(30):
+        lambda_poly(random_closure(rng, 12), memo=memo)
+    assert len(memo) > 50
+    for key, val in memo.items():
+        r = _reassemble(range(len(key) // 4), key, 0)
+        checked = Diagram(r.crossings, r.free_loops)
+        assert lambda_poly(checked) == val
