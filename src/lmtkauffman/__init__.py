@@ -1,6 +1,6 @@
 """Exact framed-link polynomial computation with built-in identity checks."""
 
-from .braid import braid_closure, random_closure, random_knot_closure, random_word
+from .braid import braid_closure, random_closure, random_word
 from .diagram import (
     Crossing,
     Diagram,
@@ -53,7 +53,6 @@ __all__ = [
     "lmt_rhs",
     "parse_pd",
     "random_closure",
-    "random_knot_closure",
     "random_word",
     "specialized_f",
     "to_pd_text",

@@ -71,14 +71,3 @@ def random_word(
 def random_closure(rng: random.Random, max_crossings: int) -> Diagram:
     word, strands = random_word(rng, max_crossings)
     return braid_closure(word, strands)
-
-
-def random_knot_closure(
-    rng: random.Random, max_crossings: int, attempts: int = 1000
-) -> Diagram:
-    """A random closure with exactly one component."""
-    for _ in range(attempts):
-        d = random_closure(rng, max_crossings)
-        if d.num_components == 1:
-            return d
-    raise RuntimeError("no single-component closure found")

@@ -53,11 +53,7 @@ def _parse_mask(bits: str | None, d: Diagram) -> int:
         raise DiagramError(
             f"orientation mask must be {com} chars of 0/1, one per component"
         )
-    mask = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << i
-    return mask
+    return int(bits[::-1] or "0", 2)  # character i is bit i
 
 
 def _header(args, path: str, d: Diagram) -> None:
@@ -66,6 +62,8 @@ def _header(args, path: str, d: Diagram) -> None:
 
 
 def cmd_compute(args) -> int:
+    if args.orientation is not None and not args.oriented:
+        raise DiagramError("--orientation needs --oriented")
     d = _read_diagram(args.path)
     com = d.num_components
     if com > MAX_COMPUTE_COMPONENTS:
@@ -109,23 +107,27 @@ def cmd_lmt(args) -> int:
 def _verify_targets(args) -> Iterator[tuple[str, Diagram]]:
     # a generator, so random closures are drawn one report at a time; its
     # refusals all come before the first yield, hence before any output
-    if (args.path is not None) + args.corpus + (args.random is not None) > 1:
+    targets = (args.path is not None) + args.corpus + (args.random is not None)
+    if targets > 1:
         raise DiagramError("verify takes one of a path, --corpus, or --random N")
+    if not targets:
+        raise DiagramError("verify needs a path, --corpus, or --random N")
+    if args.random is None and (args.max_crossings, args.seed) != (None, None):
+        raise DiagramError("--max-crossings and --seed need --random N")
     if args.corpus:
         for e in corpus.CORPUS:
             yield e.name, e.diagram()
     elif args.random is not None:
+        k = 8 if args.max_crossings is None else args.max_crossings
         if args.random < 1:
             raise DiagramError("--random needs N >= 1")
-        if args.max_crossings < 1:
+        if k < 1:
             raise DiagramError("--max-crossings needs K >= 1")
-        if args.max_crossings > MAX_RANDOM_CROSSINGS:
+        if k > MAX_RANDOM_CROSSINGS:
             raise DiagramError(f"--max-crossings needs K <= {MAX_RANDOM_CROSSINGS}")
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         for i in range(args.random):
-            yield f"random[{i}]", random_closure(rng, args.max_crossings)
-    elif args.path is None:
-        raise DiagramError("verify needs a path, --corpus, or --random N")
+            yield f"random[{i}]", random_closure(rng, k)
     else:
         yield args.path, _read_diagram(args.path)
 
@@ -215,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("path", nargs="?", help="diagram file to verify")
     pv.add_argument("--corpus", action="store_true", help="verify the built-in corpus")
     pv.add_argument("--random", type=int, metavar="N", help="verify N random braid closures")
-    pv.add_argument("--max-crossings", type=int, default=8, metavar="K")
-    pv.add_argument("--seed", type=int, default=0, metavar="S")
+    # None unless given: without --random they are refused, with it 8 and 0
+    pv.add_argument("--max-crossings", type=int, metavar="K")
+    pv.add_argument("--seed", type=int, metavar="S")
     pv.set_defaults(fn=cmd_verify)
 
     pk = sub.add_parser("corpus", help="list or print the built-in diagrams")

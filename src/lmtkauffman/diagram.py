@@ -33,10 +33,10 @@ The text format accepted by :func:`parse_pd` has an optional first line
 Input is validated once, where it enters: ``Diagram(...)`` checks edge
 ids and roles and that the records can be drawn in the plane, so every
 diagram is well formed and planar.  Edits that are valid by construction
-(switch, mirror, smoothing, union, braid closure, curls, pokes) build
-trusted diagrams through ``_trusted``, which skips the checks.  The skein
-recursion builds no diagram: it works on end arrays and strands (a
-``Node``), with ``_switched``, ``_walk`` and ``_renumber``.
+(switch, smoothing, union, braid closure) build trusted diagrams through
+``_trusted``, which skips the checks.  The skein recursion builds no
+diagram: it works on end arrays and strands (a ``Node``), with
+``_switched``, ``_walk`` and ``_renumber``.
 """
 
 from __future__ import annotations
@@ -206,18 +206,6 @@ class Diagram:
             strands.append(tuple(cyc))
         return tuple(strands)
 
-    @cached_property
-    def strand_components(self) -> tuple[tuple[int, ...], ...]:
-        """Edge cycles of the components that touch crossings.
-
-        Each cycle starts at its smallest edge id and the cycles are
-        ordered by that id.
-        """
-        cs = self.crossings
-        return tuple(
-            tuple(cs[x >> 2].edges[x & 3] for x in cyc) for cyc in self._strands
-        )
-
     @property
     def num_components(self) -> int:
         return len(self._strands) + self.free_loops
@@ -255,16 +243,6 @@ class Diagram:
         com = self.num_components
         if mask >> com:
             raise InvalidDiagramError(f"{what} {mask:#b} addresses more than {com} components")
-
-    def crossing_sign(self, ci: int, mask: OrientationMask = 0) -> int:
-        """Sign of one crossing under the orientation given by mask."""
-        if not 0 <= ci < len(self.crossings):
-            raise InvalidDiagramError(f"crossing not found: {ci}")
-        self._check_mask(mask, "orientation mask")
-        # one reversed strand flips the sign, two keep it
-        u, o = self._crossing_comps[ci]
-        sign = TAG_SIGN[self.crossings[ci].tag]
-        return -sign if ((mask >> u) ^ (mask >> o)) & 1 else sign
 
     @cached_property
     def _sign_table(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -334,10 +312,6 @@ class Diagram:
         cs[ci] = cs[ci].switched()
         mate, strands = _switched(self._mate, self._strands, ci)
         return _trusted(tuple(cs), self.free_loops, _strands=strands, _mate=mate)
-
-    def mirror(self) -> "Diagram":
-        """Exchange over and under strands everywhere."""
-        return _trusted(tuple(c.switched() for c in self.crossings), self.free_loops)
 
     def smooth(self, ci: int, which: str) -> "Diagram":
         """Remove a crossing by joining its ends in pairs.

@@ -149,10 +149,6 @@ class LaurentAZ:
                 return out
             base = base * base
 
-    def invert_a(self) -> "LaurentAZ":
-        """Substitute a -> a^-1, leaving z alone."""
-        return self._from_pairs({(-a, z): c for (a, z), c in self._terms.items()})
-
     def substitute_z(self) -> LaurentA:
         """Evaluate at z = -a - a^-1 and return the result in a alone.
 

@@ -9,11 +9,11 @@ as the edge at slot s + 2 of the same record.
 how the tests reach every traversal of the package's engine.
 """
 
-from lmtkauffman.diagram import Diagram
+from lmtkauffman.diagram import TAG_SIGN, Diagram
 
 
-def _arrivals(d):
-    # edge id -> (crossing, slot) where it arrives
+def arrivals(d):
+    """Edge id -> (crossing, slot) where the edge arrives."""
     out = {}
     for i, c in enumerate(d.crossings):
         for s in (0, 3 if c.tag == "r" else 1):
@@ -23,7 +23,7 @@ def _arrivals(d):
 
 def components(d):
     """Edge cycles, each from its smallest id, ordered by that id."""
-    arrive = _arrivals(d)
+    arrive = arrivals(d)
     seen = set()
     comps = []
     for e in sorted(arrive):
@@ -44,6 +44,13 @@ def crossing_comps(d):
     return tuple((comp[c.edges[0]], comp[c.edges[1]]) for c in d.crossings)
 
 
+def crossing_sign(d, ci, mask=0):
+    """Sign of crossing ci under the orientation that reverses mask's components."""
+    u, o = crossing_comps(d)[ci]
+    sign = TAG_SIGN[d.crossings[ci].tag]
+    return -sign if ((mask >> u) ^ (mask >> o)) & 1 else sign
+
+
 def _edges_along(d, order, basepoints):
     # edge ids in traversal order: components in order (default: as
     # indexed), each from its basepoint (default: its smallest edge);
@@ -57,7 +64,7 @@ def _edges_along(d, order, basepoints):
 
 def passages(d, order=None, basepoints=None):
     """(crossing, is_under) per edge arrival, component by component."""
-    arrive = _arrivals(d)
+    arrive = arrivals(d)
     return [(i, s % 2 == 0) for i, s in map(arrive.get, _edges_along(d, order, basepoints))]
 
 

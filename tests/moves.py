@@ -4,14 +4,17 @@ Curls (``add_kink``) change the framed polynomial by a known factor of
 a or a^-1.  The two-crossing poke (``poke``) slides one edge over
 another across a face they both border, and must not change it at all;
 likewise the braid-word moves ``insert_cancelling_pair`` and
-``triangle_pair``.
+``triangle_pair``.  ``mirror`` switches every crossing, which
+``invert_a`` (a -> a^-1) undoes on the framed polynomial.
 """
 
-from __future__ import annotations
-
+import random
 from typing import Sequence
 
-from .diagram import (
+from edge_walk import arrivals
+
+from lmtkauffman.braid import random_closure
+from lmtkauffman.diagram import (
     Crossing,
     Diagram,
     InvalidDiagramError,
@@ -19,6 +22,26 @@ from .diagram import (
     _trusted,
     faces,
 )
+from lmtkauffman.laurent import LaurentAZ
+
+
+def mirror(d: Diagram) -> Diagram:
+    """Exchange over and under strands everywhere."""
+    return Diagram(tuple(c.switched() for c in d.crossings), d.free_loops)
+
+
+def invert_a(p: LaurentAZ) -> LaurentAZ:
+    """Substitute a -> a^-1, leaving z alone; a LaurentA stays one."""
+    return type(p)._from_pairs({(-a, z): c for (a, z), c in p._terms.items()})
+
+
+def random_knot_closure(rng: random.Random, max_crossings: int, attempts: int = 1000) -> Diagram:
+    """A random closure with exactly one component."""
+    for _ in range(attempts):
+        d = random_closure(rng, max_crossings)
+        if d.num_components == 1:
+            return d
+    raise RuntimeError("no single-component closure found")
 
 
 def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diagram:
@@ -37,12 +60,10 @@ def add_kink(d: Diagram, edge: int | None = None, positive: bool = True) -> Diag
         else:
             rec = Crossing((delta, gamma, gamma, delta), "l")
         return _trusted(d.crossings + (rec,), d.free_loops - 1)
-    for edges, ends in zip(d.strand_components, d._strands):
-        if edge in edges:
-            ci, s = divmod(ends[edges.index(edge)], 4)
-            break
-    else:
+    arrive = arrivals(d)
+    if edge not in arrive:
         raise InvalidDiagramError(f"no edge {edge}")
+    ci, s = arrive[edge]
     cs = list(d.crossings)
     es = list(cs[ci].edges)
     es[s] = delta
@@ -93,10 +114,7 @@ def poke(d: Diagram, over_end: int, under_end: int) -> Diagram:
 
 def first_poke(d: Diagram) -> Diagram:
     """A deterministic poke: the first eligible pair of face ends."""
-    pokes = all_pokes(d, limit=1)
-    if not pokes:
-        raise InvalidDiagramError("no face offers two distinct edges")
-    return pokes[0]
+    return all_pokes(d, limit=1)[0]
 
 
 def all_pokes(d: Diagram, limit: int | None = None) -> list[Diagram]:
@@ -118,8 +136,7 @@ def insert_cancelling_pair(
     word: Sequence[int], position: int, index: int, sign: int = 1
 ) -> list[int]:
     """A braid word with sigma_index sigma_index^-1 spliced in."""
-    w = list(word)
-    return w[:position] + [sign * index, -sign * index] + w[position:]
+    return [*word[:position], sign * index, -sign * index, *word[position:]]
 
 
 def triangle_pair(word: Sequence[int], index: int) -> tuple[list[int], list[int]]:
@@ -129,6 +146,4 @@ def triangle_pair(word: Sequence[int], index: int) -> tuple[list[int], list[int]
     sigma_{i+1} sigma_i sigma_{i+1}; close both on at least index + 2
     strands.
     """
-    left = list(word) + [index, index + 1, index]
-    right = list(word) + [index + 1, index, index + 1]
-    return left, right
+    return [*word, index, index + 1, index], [*word, index + 1, index, index + 1]

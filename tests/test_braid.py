@@ -1,13 +1,9 @@
 import random
 
 import pytest
+from moves import random_knot_closure
 
-from lmtkauffman.braid import (
-    braid_closure,
-    random_closure,
-    random_knot_closure,
-    random_word,
-)
+from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentAZ

@@ -75,6 +75,13 @@ def test_bad_orientation_mask(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_compute_refuses_a_mask_it_would_not_use(tmp_path, capsys):
+    path = write(tmp_path, HOPF)
+    for extra in ([], ["--specialize"]):
+        code, out, err = run(capsys, "compute", path, *extra, "--orientation", "10")
+        assert (code, out, err) == (1, "", "error: --orientation needs --oriented\n")
+
+
 def test_gtau_and_lmt_verbs(tmp_path, capsys):
     path = write(tmp_path, HOPF)
     code, out, _ = run(capsys, "--porcelain", "gtau", path)
@@ -283,6 +290,18 @@ def test_verify_random_refuses_words_longer_than_the_limit(capsys):
         str(cli.MAX_RANDOM_CROSSINGS),
     )
     assert code == 0 and out.endswith("result=pass\n")
+
+
+def test_verify_refuses_random_flags_without_random(tmp_path, capsys):
+    path = write(tmp_path, HOPF)
+    for target in ([path], ["--corpus"]):
+        for flags in (["--seed", "3"], ["--max-crossings", "5"], ["--seed", "0"]):
+            code, out, err = run(capsys, "verify", *target, *flags)
+            assert code == 1 and out == ""
+            assert err == "error: --max-crossings and --seed need --random N\n"
+    # given explicitly, the defaults draw what omitting them draws
+    argv = ["--porcelain", "verify", "--random", "2"]
+    assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0", "--max-crossings", "8")
 
 
 def test_verify_without_target(capsys):

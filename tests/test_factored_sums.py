@@ -3,8 +3,9 @@
 ``g_tau`` and ``lmt_rhs`` sum over all 2^com masks as a product over the
 pieces of the linking graph, and ``writhe`` and ``linking_number`` read
 a flat per-pair sign table.  The references here enumerate every mask
-and every sublink and re-sum every crossing through ``crossing_sign``,
-with the components at each crossing taken from a walk over edge ids.
+and every sublink and re-sum every crossing through
+``edge_walk.crossing_sign``, with the components at each crossing taken
+from a walk over edge ids.
 ``verify_all``, which specializes lambda once for two of its checks, is
 held to reports rebuilt the same plain way.
 """
@@ -26,7 +27,7 @@ MAX_COM = 8
 
 
 def _plain_signs(d, mask):
-    return [d.crossing_sign(ci, mask) for ci in range(len(d.crossings))]
+    return [edge_walk.crossing_sign(d, ci, mask) for ci in range(len(d.crossings))]
 
 
 def _plain_linking(comps, signs, submask):

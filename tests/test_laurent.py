@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from moves import invert_a
 
 from lmtkauffman.braid import random_closure
 from lmtkauffman.kauffman import _a_delta, f_oriented, lambda_poly
@@ -239,13 +240,13 @@ def test_parse_format_roundtrip_random():
 
 def test_invert_a():
     p = LaurentA({3: 2, -1: 5})
-    assert p.invert_a() == LaurentA({-3: 2, 1: 5})
+    assert invert_a(p) == LaurentA({-3: 2, 1: 5})
     q = LaurentAZ({(2, 1): 7})
-    assert q.invert_a() == LaurentAZ({(-2, 1): 7})
+    assert invert_a(q) == LaurentAZ({(-2, 1): 7})
     rng = random.Random(47)
     for _ in range(100):
         p, q = rand_az(rng), rand_az(rng)
-        assert (p * q).invert_a() == p.invert_a() * q.invert_a()
+        assert invert_a(p * q) == invert_a(p) * invert_a(q)
 
 
 def test_immutability():
@@ -262,7 +263,7 @@ def test_one_variable_face_and_mixed_operands():
     z = LaurentAZ.monomial(1, 0, 1)
     assert p.terms == {1: 1, -1: 1}
     assert repr(p) == "LaurentA({1: 1, -1: 1})"
-    for q in (p * p, p + 1, 1 - p, 2 * p, p ** 3, -p, p.invert_a()):
+    for q in (p * p, p + 1, 1 - p, 2 * p, p ** 3, -p, invert_a(p)):
         assert type(q) is LaurentA
     for q in (p * z, z * p, p + z, z - p):
         assert type(q) is LaurentAZ

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from moves import random_knot_closure
 
 from lmtkauffman import diagram as diagram_module
 from lmtkauffman import kauffman, lmt, transfer
-from lmtkauffman.braid import braid_closure, random_closure, random_knot_closure
+from lmtkauffman.braid import braid_closure, random_closure
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import (
     Crossing,

@@ -1,22 +1,14 @@
 import random
 
 import pytest
+from moves import add_kink, all_pokes, first_poke, insert_cancelling_pair, poke, triangle_pair
 
 from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import get
-from lmtkauffman.diagram import Diagram, InvalidDiagramError, parse_pd
+from lmtkauffman.diagram import Diagram, InvalidDiagramError, faces, parse_pd
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentAZ
 from lmtkauffman.lmt import verify_all
-from lmtkauffman.moves import (
-    add_kink,
-    all_pokes,
-    faces,
-    first_poke,
-    insert_cancelling_pair,
-    poke,
-    triangle_pair,
-)
 
 A = LaurentAZ.monomial(1, 1)
 A_INV = LaurentAZ.monomial(1, -1)

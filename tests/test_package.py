@@ -1,6 +1,8 @@
-"""The package's public surface is exactly what ``__all__`` lists, and
-nothing outside its arguments and input files steers it."""
+"""The package's public surface is exactly what ``__all__`` lists, every
+module in it is reached, and nothing outside its arguments and input
+files steers it."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -32,3 +34,14 @@ def test_no_module_reads_the_environment():
     for module in modules:
         source = inspect.getsource(module)
         assert "environ" not in source and "getenv" not in source, module.__name__
+
+
+def test_every_module_is_reached():
+    # a module that neither the package nor its command line imports runs
+    # for no verb and no export
+    reached = {"cli"}
+    for module in (lmtkauffman, importlib.import_module("lmtkauffman.cli")):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                reached.update([node.module] if node.module else [a.name for a in node.names])
+    assert {m.name for m in pkgutil.iter_modules(lmtkauffman.__path__)} <= reached

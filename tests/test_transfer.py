@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from moves import invert_a, mirror
 
 from lmtkauffman.braid import random_closure
 from lmtkauffman.corpus import CORPUS, get
@@ -41,7 +42,7 @@ def test_g_tau_mirror():
     rng = random.Random(52)
     for _ in range(30):
         d = random_closure(rng, 7)
-        assert g_tau(d.mirror()) == g_tau(d).invert_a()
+        assert g_tau(mirror(d)) == invert_a(g_tau(d))
 
 
 def test_g_tau_multiplies_over_distant_union():
