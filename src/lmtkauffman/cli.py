@@ -2,8 +2,9 @@
 
 Verbs: compute, gtau, lmt, verify, corpus.  Output is key=value lines;
 --porcelain suppresses the human comment lines so scripts can parse the
-rest as-is.  Exit status 0 on success, 1 on unreadable or invalid input
-and on verification failure, 2 when an internal invariant breaks.
+rest as-is.  Exit status 0 on success (and after --help), 1 on a usage
+error, on unreadable or invalid input and on verification failure, 2
+when an internal invariant breaks.
 """
 
 from __future__ import annotations
@@ -136,19 +137,22 @@ def cmd_verify(args) -> int:
     failures = 0
     checks = 0
     for name, d in _verify_targets(args):
+        # one write per subject: --random N still streams, a closure at a time
+        lines = []
         for r in verify_all(d, subject=name):
             checks += 1
             if args.porcelain:
-                print(f"{r.subject}.{r.claim}={'pass' if r.passed else 'fail'}")
+                lines.append(f"{r.subject}.{r.claim}={'pass' if r.passed else 'fail'}\n")
                 if not r.passed:
-                    print(f"{r.subject}.{r.claim}.lhs={r.lhs}")
-                    print(f"{r.subject}.{r.claim}.rhs={r.rhs}")
+                    lines.append(f"{r.subject}.{r.claim}.lhs={r.lhs}\n")
+                    lines.append(f"{r.subject}.{r.claim}.rhs={r.rhs}\n")
             elif not r.passed:
-                print(f"FAIL {r.subject} {r.claim}: lhs={r.lhs} rhs={r.rhs}")
+                lines.append(f"FAIL {r.subject} {r.claim}: lhs={r.lhs} rhs={r.rhs}\n")
             else:
-                print(f"PASS {r.subject} {r.claim}")
+                lines.append(f"PASS {r.subject} {r.claim}\n")
             if not r.passed:
                 failures += 1
+        sys.stdout.write("".join(lines))
     if args.porcelain:
         print(f"result={'pass' if failures == 0 else 'fail'}")
     else:
@@ -183,10 +187,20 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses: exit 1, not argparse's 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # the verbs' parsers are made by add_parser, hence of this class too
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process and shared."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lmtkauffman",
         description="Exact framed-link polynomial computation and identity checks.",
     )
@@ -231,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (OSError, DiagramError) as exc:
+    except (_UsageError, OSError, DiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InternalInvariantError, SpecializationError) as exc:

@@ -1,3 +1,5 @@
+import pytest
+
 from lmtkauffman import cli, kauffman
 from lmtkauffman.cli import main
 from lmtkauffman.corpus import CORPUS, get
@@ -326,12 +328,15 @@ def test_verify_refuses_more_than_one_target(tmp_path, capsys):
 
 def test_verify_random_draws_each_closure_as_it_is_verified(capsys, monkeypatch):
     # reports stream: no closure is drawn before the ones ahead of it are
-    # verified, so --random N holds one closure at a time
+    # verified and their reports written, so --random N holds one closure
+    # and one closure's lines at a time
     drawn = []
     verified = []
+    written = []  # stdout written since the previous draw, at each draw
     random_closure, verify_all = cli.random_closure, cli.verify_all
 
     def counting_closure(rng, k):
+        written.append(capsys.readouterr().out)
         drawn.append(k)
         return random_closure(rng, k)
 
@@ -344,6 +349,34 @@ def test_verify_random_draws_each_closure_as_it_is_verified(capsys, monkeypatch)
     code, out, _ = run(capsys, "--porcelain", "verify", "--random", "6", "--max-crossings", "5")
     assert code == 0 and out.endswith("result=pass\n")
     assert verified == [(f"random[{i}]", i + 1) for i in range(6)]
+    written.append(out.removesuffix("result=pass\n"))
+    assert written[0] == ""
+    for i, chunk in enumerate(written[1:]):
+        lines = chunk.splitlines()
+        assert lines and all(line.startswith(f"random[{i}].") for line in lines), i
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--random", "abc"], "argument --random: invalid int value: 'abc'"),
+        (["verify", "--corpus", "--porcelain"], "unrecognized arguments: --porcelain"),
+        ([], "the following arguments are required: verb"),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-verb"],
+)
+def test_usage_errors_exit_1_with_an_error_line(capsys, argv, message):
+    # exit 2 is kept for internal errors, so a refused command line returns
+    # 1 like any other invalid input, rather than argparse's SystemExit(2)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def test_consecutive_calls_share_one_parser(tmp_path, capsys):

@@ -15,7 +15,7 @@ import random
 import edge_walk
 
 from lmtkauffman.braid import braid_closure, random_closure
-from lmtkauffman.corpus import CORPUS
+from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import lambda_poly, specialized_f
 from lmtkauffman.laurent import LaurentA
@@ -140,10 +140,27 @@ def _plain_verify_all(d, subject):
     return reports
 
 
+def _plain_linked(d):
+    # the components in a pair whose crossings have a nonzero signed count
+    between = {}
+    for (u, o), sign in zip(edge_walk.crossing_comps(d), _plain_signs(d, 0)):
+        if u != o:
+            key = (min(u, o), max(u, o))
+            between[key] = between.get(key, 0) + sign
+    linked = 0
+    for (u, o), c in between.items():
+        if c:
+            linked |= 1 << u | 1 << o
+    return linked
+
+
 def test_verify_all_matches_reports_rebuilt_plainly():
     # corpus entries, hopf + T(2,4) with 0-3 free loops, seeded closures,
     # both one-crossing curls, whose smoothings close loops on the crossing
-    # alone, with and without free loops, and a split union
+    # alone, with and without free loops, and split unions: verify_all
+    # shares one reversal report among the sublinks with the same linked
+    # part, so some unions put unlinked components between linked ones
+    # and some pair the Hopf link with links whose pairs cross with C = 0
     subjects = [(e.name, e.diagram()) for e in CORPUS]
     for loops in range(4):
         d = braid_closure([-1, -1, -3, -3, -3, -3], 4 + loops)
@@ -156,6 +173,23 @@ def test_verify_all_matches_reports_rebuilt_plainly():
             subjects.append((text.replace("\n", " ").strip(), parse_pd(text)))
     union = random_closure(rng, 5).distant_union(random_closure(rng, 5))
     subjects.append(("union", union))
+    unions = [
+        ("trefoil_right", "hopf_pos"),
+        ("hopf_pos", "trefoil_left", "hopf_neg"),
+        ("torus_2_4", "unlink2", "unknot_kink_neg", "hopf_pos"),
+        ("whitehead", "hopf_pos"),
+        ("hopf_neg", "borromean"),
+    ]
+    for names in unions:
+        d = get(names[0]).diagram()
+        for name in names[1:]:
+            d = d.distant_union(get(name).diagram())
+        subjects.append(("+".join(names), d))
+    for i in range(4):
+        d = random_closure(rng, 4).distant_union(get("figure_eight").diagram())
+        subjects.append((f"union[{i}]", d.distant_union(random_closure(rng, 4))))
+    gapped = [name for name, d in subjects if (m := _plain_linked(d)) & (m + 1)]
+    assert "hopf_pos+trefoil_left+hopf_neg" in gapped and "whitehead+hopf_pos" in gapped
     for name, d in subjects:
         reports = verify_all(d, subject=name)
         assert reports == _plain_verify_all(d, name), name

@@ -129,20 +129,30 @@ def test_verify_all_report_shape():
 
 
 def test_verify_all_computes_the_base_writhe_once(monkeypatch):
-    # one writhe per reversed sublink, plus the base writhe once for all
-    # reversal checks and once for the specialized polynomial
+    # the base writhe once for all reversal checks and once for the
+    # specialized polynomial, then one writhe and one linking number per
+    # reversed linked part: the 2^2 sublinks of the Hopf link, however
+    # many free loops sit beside it
     d = get("hopf_pos").diagram().distant_union(Diagram((), 4))
     masks = []
-    writhe = Diagram.writhe
+    submasks = []
+    writhe, linking_number = Diagram.writhe, Diagram.linking_number
 
-    def counted(self, mask=0):
+    def counted_writhe(self, mask=0):
         masks.append(mask)
         return writhe(self, mask)
 
-    monkeypatch.setattr(Diagram, "writhe", counted)
+    def counted_linking(self, mask, submask):
+        submasks.append(submask)
+        return linking_number(self, mask, submask)
+
+    monkeypatch.setattr(Diagram, "writhe", counted_writhe)
+    monkeypatch.setattr(Diagram, "linking_number", counted_linking)
     reports = verify_all(d)
     assert all(r.passed for r in reports)
-    assert len(masks) == (1 << d.num_components) + 2
+    assert sum(r.claim.startswith("reversal-writhe[") for r in reports) == 1 << 6
+    assert len(masks) == 2 + (1 << 2)
+    assert sorted(submasks) == [0b00, 0b01, 0b10, 0b11]
 
 
 def test_verify_all_specializes_lambda_once(monkeypatch):
