@@ -17,7 +17,9 @@ the cycles of ends the edges arrive at (``Diagram._strands``).  Walking
 the strands in order, a crossing first met on its under-strand is a
 defect.  With no defects the diagram is a stack of unknotted components
 and the value is a^(self writhe) * delta^(components - 1); otherwise the
-first defect is resolved with the switch rule above.  The switch
+first defect is resolved with the switch rule above, its value
+-V(switched) + z * (V(smooth A) + V(smooth B)) formed in one pass over
+the three children's terms, with no intermediate polynomial.  The switch
 (``diagram._switched``) keeps the strands, so the defect count drops by
 exactly one, and each smoothing removes a crossing, which makes the
 recursion finite.
@@ -69,8 +71,6 @@ from .laurent import LaurentA, LaurentAZ
 
 # Value of one extra split circle.
 DELTA = LaurentAZ({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
-
-_Z = LaurentAZ({(0, 1): 1})
 
 
 class EmptyDiagramError(DiagramError):
@@ -198,10 +198,13 @@ def _lambda(node, memo) -> LaurentAZ:
     if x is None:
         val = _a_delta(_sign_table_of(strands, len(mate))[0], len(strands) - 1)
     else:
-        val = -_child(_switched(mate, strands, x), {}, (x,), memo) + _Z * (
-            _child(node, {x: SMOOTHING["A"]}, (), memo)
-            + _child(node, {x: SMOOTHING["B"]}, (), memo)
-        )
+        # -switch + z * (A + B), added up in one dict
+        switch = _child(_switched(mate, strands, x), {}, (x,), memo)
+        terms = {e: -c for e, c in switch._terms.items()}
+        for which in "AB":
+            for (a, z), c in _child(node, {x: SMOOTHING[which]}, (), memo)._terms.items():
+                terms[a, z + 1] = terms.get((a, z + 1), 0) + c
+        val = LaurentAZ._from_pairs(terms)
     memo[mate] = val
     return val
 

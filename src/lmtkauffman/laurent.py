@@ -1,11 +1,15 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
 One sparse representation, ``LaurentAZ``, keyed by ``(a exponent, z
-exponent)``, holds all of the arithmetic.  ``LaurentA`` is its face for
-polynomials in ``a`` alone: it stores terms with z exponent 0 and speaks
-of a exponents only.  Coefficients are Python ints, so nothing here can
-overflow.  The term dict is canonical (no zero coefficients), which makes
-equality and hashing structural, also between the two classes.
+exponent)``, holds all of the arithmetic between polynomials.  The two
+hottest sums, a skein node's value (``kauffman``) and the two sides of
+the orientation-sum skein check (``transfer``), add into plain term dicts
+instead and build one polynomial at the end, as ``substitute_z`` does.
+``LaurentA`` is its face for polynomials in ``a`` alone: it stores terms
+with z exponent 0 and speaks of a exponents only.  Coefficients are
+Python ints, so nothing here can overflow.  The term dict is canonical
+(no zero coefficients), which makes equality and hashing structural,
+also between the two classes.
 
 ``LaurentAZ.substitute_z`` evaluates at z = -a - a^-1, the specialization
 the package checks.  It works on a plain dict of a exponents: Horner's

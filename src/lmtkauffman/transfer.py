@@ -27,7 +27,9 @@ of the recursion; only the order of summation changes.
 diagram's sign table with one sign changed, and each smoothing's comes
 from the table (``diagram._sign_table_of``) of the strands that
 ``diagram._walk`` finds in a copy of the end array with the crossing
-unplugged.
+unplugged.  The sums stay plain {a_exp: coeff} dicts: each side adds
+its two into one dict, the factor -a - a^-1 of the smoothings as two
+exponent shifts, and becomes a ``LaurentA`` once, for the report.
 
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
@@ -43,9 +45,6 @@ from .diagram import _sign_table_of, _unplug, _walk
 from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
-
-# Specialization of z.
-NEG_A_PAIR = LaurentA({1: -1, -1: -1})
 
 # g_tau and lmt_rhs have coefficients up to 2^com; 4096 components keep
 # them within 1,234 digits, which print at once.
@@ -109,13 +108,14 @@ def summed_components(com: int, what: str) -> int:
     return com
 
 
-def _orientation_sum(com: int, self_w: int, pairs: Iterable[tuple]) -> LaurentA:
-    # g_tau from a sign table (Diagram._sign_table); reversing one of two
-    # linked components negates their count C, so each pair weighs (C, -C)
+def _orientation_terms(com: int, self_w: int, pairs: Iterable[tuple]) -> dict[int, int]:
+    # g_tau from a sign table (Diagram._sign_table), as {a_exp: coeff};
+    # reversing one of two linked components negates their count C, so
+    # each pair weighs (C, -C)
     summed_components(com, "orientation sum")
     weights = {(u, o): (c, -c) for u, o, c in pairs}
     sign = (-1) ** com
-    return LaurentA({self_w + e: sign * c for e, c in sum_over_masks(com, weights).items()})
+    return {self_w + e: sign * c for e, c in sum_over_masks(com, weights).items()}
 
 
 def g_tau(d: Diagram) -> LaurentA:
@@ -124,10 +124,10 @@ def g_tau(d: Diagram) -> LaurentA:
     The writhe under a mask is the framing of that oriented diagram, so
     the sum collects (-1)^com * a^writhe over all masks.
     """
-    return _orientation_sum(d.num_components, *d._sign_table)
+    return LaurentA(_orientation_terms(d.num_components, *d._sign_table))
 
 
-def _switched_sum(d: Diagram, ci: int) -> LaurentA:
+def _switched_sum(d: Diagram, ci: int) -> dict[int, int]:
     # g_tau(d.switch(ci)): the same components, crossing ci's sign changed
     c = d.crossings[ci]
     shift = TAG_SIGN[c.switched().tag] - TAG_SIGN[c.tag]
@@ -138,16 +138,18 @@ def _switched_sum(d: Diagram, ci: int) -> LaurentA:
         self_w += shift
     else:
         between[u, o] = between.get((u, o), 0) + shift
-    return _orientation_sum(d.num_components, self_w, [(*p, k) for p, k in between.items() if k])
+    return _orientation_terms(
+        d.num_components, self_w, [(*p, k) for p, k in between.items() if k]
+    )
 
 
-def _smoothed_sum(d: Diagram, ci: int, which: str) -> LaurentA:
+def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
     # g_tau(d.smooth(ci, which)): the strands of the rewired end array
     mate = list(d._mate)
     loops = _unplug(mate, ci, SMOOTHING[which])
     strands = _walk((h for h in range(len(d.crossings)) if h != ci), mate)
     com = len(strands) + d.free_loops + loops
-    return _orientation_sum(com, *_sign_table_of(strands, len(mate)))
+    return _orientation_terms(com, *_sign_table_of(strands, len(mate)))
 
 
 def check_skein_identity(
@@ -160,9 +162,15 @@ def check_skein_identity(
     """
     if not 0 <= ci < len(d.crossings):
         raise InvalidDiagramError(f"crossing not found: {ci}")
-    lhs = (g_tau(d) if g is None else g) + _switched_sum(d, ci)
-    rhs = NEG_A_PAIR * (_smoothed_sum(d, ci, "A") + _smoothed_sum(d, ci, "B"))
-    return compare(subject, f"orientation-sum-skein[{ci}]", lhs, rhs)
+    lhs = (g_tau(d) if g is None else g).terms
+    for e, c in _switched_sum(d, ci).items():
+        lhs[e] = lhs.get(e, 0) + c
+    rhs: dict[int, int] = {}
+    for which in "AB":
+        for e, c in _smoothed_sum(d, ci, which).items():
+            rhs[e + 1] = rhs.get(e + 1, 0) - c
+            rhs[e - 1] = rhs.get(e - 1, 0) - c
+    return compare(subject, f"orientation-sum-skein[{ci}]", LaurentA(lhs), LaurentA(rhs))
 
 
 def check_specialization_identity(

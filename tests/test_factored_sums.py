@@ -21,9 +21,12 @@ from lmtkauffman.kauffman import lambda_poly, specialized_f
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.lmt import lmt_rhs, verify_all
 from lmtkauffman.report import VerificationReport
-from lmtkauffman.transfer import NEG_A_PAIR, g_tau
+from lmtkauffman.transfer import g_tau
 
 MAX_COM = 8
+
+# Specialization of z.
+NEG_A_PAIR = LaurentA({1: -1, -1: -1})
 
 
 def _plain_signs(d, mask):
@@ -111,7 +114,7 @@ def test_unenumerable_sizes_take_their_closed_forms():
 
 
 def _plain_report(subject, claim, lhs, rhs):
-    return VerificationReport(subject, claim, str(lhs), str(rhs), lhs == rhs)
+    return VerificationReport(subject, claim, lhs, rhs, lhs == rhs)
 
 
 def _plain_verify_all(d, subject):
@@ -192,5 +195,10 @@ def test_verify_all_matches_reports_rebuilt_plainly():
     assert "hopf_pos+trefoil_left+hopf_neg" in gapped and "whitehead+hopf_pos" in gapped
     for name, d in subjects:
         reports = verify_all(d, subject=name)
-        assert reports == _plain_verify_all(d, name), name
+        plain = _plain_verify_all(d, name)
+        assert reports == plain, name
+        # the text verify prints for each side
+        assert [(str(r.lhs), str(r.rhs)) for r in reports] == [
+            (str(r.lhs), str(r.rhs)) for r in plain
+        ], name
         assert all(r.passed for r in reports), name

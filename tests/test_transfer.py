@@ -3,11 +3,14 @@ import random
 import pytest
 from moves import invert_a, mirror
 
+from lmtkauffman import cli
+from lmtkauffman import laurent as laurent_module
 from lmtkauffman.braid import random_closure
 from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import Diagram, InvalidDiagramError, parse_pd
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentA
+from lmtkauffman.lmt import verify_all
 from lmtkauffman.transfer import check_skein_identity, check_specialization_identity, g_tau
 
 
@@ -100,8 +103,38 @@ def test_specialization_identity_shares_memo():
     assert lambda_poly(d) == lambda_poly(d, memo=memo)
 
 
-def test_report_fields():
+def test_report_fields(monkeypatch, capsys):
     r = check_skein_identity(get("hopf_pos").diagram(), 0, subject="clasp")
     assert r.subject == "clasp"
     assert r.claim == "orientation-sum-skein[0]"
     assert r.passed is (r.lhs == r.rhs)
+    # the sides are the compared values, rendered as text only when printed
+    for e in CORPUS:
+        for r in verify_all(e.diagram(), subject=e.name):
+            want = int if r.claim.startswith("reversal-writhe[") else LaurentA
+            assert type(r.lhs) is want and type(r.rhs) is want, (e.name, r.claim)
+    calls = []
+    format_poly = laurent_module.format_poly
+    monkeypatch.setattr(laurent_module, "format_poly", lambda p: calls.append(p) or format_poly(p))
+    assert str(LaurentA({1: 1})) == "a" and len(calls) == 1
+    calls.clear()
+    assert cli.main(["--porcelain", "verify", "--corpus"]) == 0
+    assert capsys.readouterr().out.endswith("result=pass\n")
+    assert calls == []
+
+
+def test_values_stay_canonical():
+    # equal to a rebuild from their own terms, hash included, and no zero
+    # coefficient: a sum that kept a cancelled term would compare unequal
+    def canonical(p):
+        assert p == type(p)(p.terms) and hash(p) == hash(type(p)(p.terms)), p
+        assert 0 not in p.terms.values(), p
+
+    rng = random.Random(56)
+    diagrams = [e.diagram() for e in CORPUS] + [random_closure(rng, 7) for _ in range(40)]
+    for d in diagrams:
+        canonical(lambda_poly(d))
+        for r in verify_all(d):
+            if not r.claim.startswith("reversal-writhe["):
+                canonical(r.lhs)
+                canonical(r.rhs)
