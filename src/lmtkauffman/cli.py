@@ -37,6 +37,10 @@ MAX_COMPUTE_COMPONENTS = 128
 MAX_RANDOM_CROSSINGS = 24
 
 
+class _UsageError(Exception):
+    """A command line refused as a usage error: exit 1, not argparse's 2."""
+
+
 def _read_diagram(path: str) -> Diagram:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -163,8 +167,7 @@ def cmd_verify(args) -> int:
 def cmd_corpus(args) -> int:
     if args.action == "list":
         if args.name is not None:
-            print("error: corpus list takes no name", file=sys.stderr)
-            return 1
+            raise _UsageError("corpus list takes no name")
         for e in corpus.CORPUS:
             if args.porcelain:
                 print(e.name)
@@ -172,23 +175,17 @@ def cmd_corpus(args) -> int:
                 d = e.diagram()
                 print(
                     f"{e.name:22s} crossings={len(d.crossings)} "
-                    f"components={e.components} {e.notes}"
+                    f"components={d.num_components} {e.notes}"
                 )
         return 0
     if args.name is None:
-        print("error: corpus show needs a name", file=sys.stderr)
-        return 1
+        raise _UsageError("corpus show needs a name")
     try:
         entry = corpus.get(args.name)
     except KeyError:
-        print(f"error: no corpus entry named {args.name!r}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"no corpus entry named {args.name!r}") from None
     sys.stdout.write(entry.pd_text)
     return 0
-
-
-class _UsageError(Exception):
-    """A command line the parser refuses: exit 1, not argparse's 2."""
 
 
 class _Parser(argparse.ArgumentParser):

@@ -108,8 +108,7 @@ class Diagram:
 
     Immutable; all editing operations return new diagrams.  The end
     structure (``_mate``, ``_strands``) and what is derived from it is
-    computed once on demand, unless the operation that built the diagram
-    already knew it.
+    computed from the records once, on demand.
     """
 
     crossings: tuple[Crossing, ...]
@@ -256,7 +255,7 @@ class Diagram:
         component i, else +1.  Reversing one of the two flips every
         crossing between them, reversing both flips none, so under mask
 
-            writhe = self_writhe + sum of all values,
+            writhe = the self-writhe + sum of all values,
             lk(S, rest) = half the sum over the pairs that S separates.
 
         These are the edges of the linking graph: a sum over masks of a
@@ -274,14 +273,6 @@ class Diagram:
         for u, o, c in pairs:
             total += -c if ((mask >> u) ^ (mask >> o)) & 1 else c
         return total
-
-    def self_writhe(self) -> int:
-        """Writhe counting only crossings of a component with itself.
-
-        Reversing any component flips both strands of such a crossing,
-        so this does not depend on orientation.
-        """
-        return self._sign_table[0]
 
     def linking_number(self, mask: OrientationMask, submask: SublinkMask) -> int:
         """Linking number of the sublink in submask with everything else.
@@ -310,8 +301,7 @@ class Diagram:
             raise InvalidDiagramError(f"crossing not found: {ci}")
         cs = list(self.crossings)
         cs[ci] = cs[ci].switched()
-        mate, strands = _switched(self._mate, self._strands, ci)
-        return _trusted(tuple(cs), self.free_loops, _strands=strands, _mate=mate)
+        return _trusted(tuple(cs), self.free_loops)
 
     def smooth(self, ci: int, which: str) -> "Diagram":
         """Remove a crossing by joining its ends in pairs.
@@ -405,15 +395,14 @@ class Diagram:
         )
 
 
-def _trusted(crossings: tuple[Crossing, ...], free_loops: int, **derived) -> Diagram:
+def _trusted(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
     """A Diagram of records that are valid by construction, left unchecked.
 
-    derived pre-fills the cached end structure the caller already knows,
-    ``_strands`` and ``_mate``; the rest is derived from them on demand as
-    for any diagram.
+    Its end structure is derived from the records on demand, as for any
+    diagram.
     """
     d = object.__new__(Diagram)
-    d.__dict__.update(derived, crossings=crossings, free_loops=free_loops)
+    d.__dict__.update(crossings=crossings, free_loops=free_loops)
     return d
 
 
@@ -564,8 +553,8 @@ def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) ->
 
     handles name the surviving crossings; mate is an end array over
     them (see ``Diagram._mate``) whose even slots are the under-strand;
-    entries of other handles are ignored.  ``_renumber`` gives the
-    result's ``_mate`` and ``_strands``; edges are numbered along the
+    entries of other handles are ignored.  ``_renumber`` numbers the
+    crossings and walks their strands; edges are numbered along the
     strands, and each tag is read from where the over-strand enters.
     """
     mate, strands = _renumber(handles, mate)
@@ -576,7 +565,7 @@ def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) ->
         if x & 3 == 1:
             tags[x >> 2] = "l"
     records = tuple(Crossing(tuple(edges[4 * h : 4 * h + 4]), t) for h, t in enumerate(tags))
-    return _trusted(records, free_loops, _strands=strands, _mate=mate)
+    return _trusted(records, free_loops)
 
 
 def parse_pd(text: str) -> Diagram:

@@ -13,7 +13,7 @@ identities that are checked here exactly:
   touches the skein recursion itself.
 
 The sum is not enumerated over all 2^com masks.  Under a mask the writhe
-is self_writhe + sum of C[u, o] * e_u * e_o over pairs of components
+is the self-writhe + sum of C[u, o] * e_u * e_o over pairs of components
 (``Diagram.pair_signs``), so it splits into one term per connected piece
 of the linking graph, whose edges are the pairs with C != 0, and the sum
 over masks is a product over the pieces: 2^k masks for a piece of k
