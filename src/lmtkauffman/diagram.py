@@ -410,9 +410,9 @@ def _sign_table_of(strands: Iterable[Sequence[int]], ends: int) -> tuple[int, tu
     # (self-writhe, flat pair table) of strand cycles of arrival ends over
     # that many ends: (u, o, C) for each pair u < o of components whose
     # signs sum to C != 0, twice their linking number with the parity of
-    # their crossing count.  A crossing no strand meets is skipped; the
-    # others count TAG_SIGN["r"] when the over-strand arrives one slot
-    # clockwise of the under-strand, else TAG_SIGN["l"].
+    # their crossing count.  Every crossing's under-strand arrives at slot
+    # 0; it counts TAG_SIGN["r"] when the over-strand arrives at slot 3,
+    # else TAG_SIGN["l"].
     comp = [-1] * ends
     for k, cyc in enumerate(strands):
         for x in cyc:
@@ -420,12 +420,9 @@ def _sign_table_of(strands: Iterable[Sequence[int]], ends: int) -> tuple[int, tu
     self_w = 0
     between: dict[tuple[int, int], int] = {}
     for b in range(0, ends, 4):
-        under = b if comp[b] >= 0 else b + 2
         over = b + 1 if comp[b + 1] >= 0 else b + 3
-        u, o = comp[under], comp[over]
-        if u < 0:
-            continue
-        sign = TAG_SIGN["r" if (over - under) % 4 == 3 else "l"]
+        u, o = comp[b], comp[over]
+        sign = TAG_SIGN["r" if over & 2 else "l"]
         if u == o:
             self_w += sign
         else:

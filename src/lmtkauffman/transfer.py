@@ -24,12 +24,16 @@ crossing signs alone, so the check against the engine stays independent
 of the recursion; only the order of summation changes.
 
 ``check_skein_identity`` builds no diagram: the switch's sum is the
-diagram's sign table with one sign changed, and each smoothing's comes
-from the table (``diagram._sign_table_of``) of the strands that
-``diagram._walk`` finds in a copy of the end array with the crossing
-unplugged.  The sums stay plain {a_exp: coeff} dicts: each side adds
-its two into one dict, the factor -a - a^-1 of the smoothings as two
-exponent shifts, and becomes a ``LaurentA`` once, for the report.
+diagram's sign table with one sign changed, which at a self-crossing
+shifts the diagram's own sum.  Each smoothing's is walked afresh in the
+end array, a strand reaching the crossing going on from the slot the
+smoothing joins it to, with its signs read from the slots where its
+strands arrive: nothing is copied or rewired, and nothing is taken from
+the diagram's strands or sign table, so a fault in those fails the
+check instead of passing into both sides.  The sums stay plain
+{a_exp: coeff} dicts: each side adds its two into one dict, the factor
+-a - a^-1 of the smoothings as two exponent shifts, and becomes a
+``LaurentA`` once, for the report.
 
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
@@ -41,7 +45,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .diagram import SMOOTHING, TAG_SIGN, Diagram, DiagramError, InvalidDiagramError
-from .diagram import _sign_table_of, _unplug, _walk
 from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
 from .report import VerificationReport, compare
@@ -127,29 +130,67 @@ def g_tau(d: Diagram) -> LaurentA:
     return LaurentA(_orientation_terms(d.num_components, *d._sign_table))
 
 
-def _switched_sum(d: Diagram, ci: int) -> dict[int, int]:
-    # g_tau(d.switch(ci)): the same components, crossing ci's sign changed
+def _switched_sum(d: Diagram, ci: int, g: dict[int, int]) -> dict[int, int]:
+    # g_tau(d.switch(ci)), g being g_tau(d): the same components, crossing
+    # ci's sign changed, which at a self-crossing shifts every writhe alike
     c = d.crossings[ci]
     shift = TAG_SIGN[c.switched().tag] - TAG_SIGN[c.tag]
-    self_w, pairs = d._sign_table
     u, o = sorted(d._crossing_comps[ci])
-    between = {(p, q): k for p, q, k in pairs}
     if u == o:
-        self_w += shift
-    else:
-        between[u, o] = between.get((u, o), 0) + shift
+        return {e + shift: k for e, k in g.items()}
+    self_w, pairs = d._sign_table
+    between = {(p, q): k for p, q, k in pairs}
+    between[u, o] = between.get((u, o), 0) + shift
     return _orientation_terms(
         d.num_components, self_w, [(*p, k) for p, k in between.items() if k]
     )
 
 
 def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
-    # g_tau(d.smooth(ci, which)): the strands of the rewired end array
-    mate = list(d._mate)
-    loops = _unplug(mate, ci, SMOOTHING[which])
-    strands = _walk((h for h in range(len(d.crossings)) if h != ci), mate)
-    com = len(strands) + d.free_loops + loops
-    return _orientation_terms(com, *_sign_table_of(strands, len(mate)))
+    # g_tau(d.smooth(ci, which)), from a fresh walk of d's end array in
+    # which a strand reaching ci's slot s goes on from slot pairing[s].
+    # Nothing is read from d's strands or sign table.  Each strand starts
+    # at the smallest end not yet passed, taken as an arrival, so it may
+    # pass a crossing against d's direction; a sign is read from the two
+    # slots where its strands arrive.
+    mate = d._mate
+    pairing = SMOOTHING[which]
+    b = 4 * ci
+    comp = [-1] * len(mate)  # component at an arrival end, -2 once passed
+    comp[b : b + 4] = (-2,) * 4
+    com = hops = 0
+    for start in range(len(mate)):
+        if comp[start] != -1:
+            continue
+        x = start
+        while comp[x] == -1:
+            comp[x] = com
+            comp[x ^ 2] = -2
+            x = mate[x ^ 2]
+            while x >> 2 == ci:
+                x = mate[b + pairing[x & 3]]
+                hops += 1
+        com += 1
+    self_w = 0
+    between: dict[tuple[int, int], int] = {}
+    for h in range(0, len(mate), 4):
+        if h == b:
+            continue
+        under = h if comp[h] >= 0 else h + 2
+        over = h + 1 if comp[h + 1] >= 0 else h + 3
+        u, o = comp[under], comp[over]
+        sign = TAG_SIGN["r" if (over - under) % 4 == 3 else "l"]
+        if u == o:
+            self_w += sign
+        else:
+            key = (u, o) if u < o else (o, u)
+            between[key] = between.get(key, 0) + sign
+    # each of ci's two slot pairs that no strand hopped closes a loop of
+    # its own, unless no strand hopped at all: ci is then a whole
+    # component, whose two edges close one loop, or two where they join
+    # the slots the pairing joins
+    com += d.free_loops + (2 - hops if hops else 1 + (mate[b] == b + pairing[0]))
+    return _orientation_terms(com, self_w, [(*p, c) for p, c in between.items() if c])
 
 
 def check_skein_identity(
@@ -162,8 +203,9 @@ def check_skein_identity(
     """
     if not 0 <= ci < len(d.crossings):
         raise InvalidDiagramError(f"crossing not found: {ci}")
-    lhs = (g_tau(d) if g is None else g).terms
-    for e, c in _switched_sum(d, ci).items():
+    terms = (g_tau(d) if g is None else g).terms
+    lhs = _switched_sum(d, ci, terms)
+    for e, c in terms.items():
         lhs[e] = lhs.get(e, 0) + c
     rhs: dict[int, int] = {}
     for which in "AB":

@@ -236,7 +236,8 @@ def test_lmt_rhs_rejects_odd_crossings():
 
 def test_corrupted_crossing_signs_fail_the_formula(monkeypatch):
     # force both crossing tags to count +1 and watch the checks go red;
-    # diagrams with no crossings at all are the only survivors
+    # diagrams with no crossings at all are the only survivors, and every
+    # orientation-sum skein report of the others fails
     monkeypatch.setitem(diagram_module.TAG_SIGN, "l", 1)
     failures = 0
     crossingless = 0
@@ -245,8 +246,12 @@ def test_corrupted_crossing_signs_fail_the_formula(monkeypatch):
         if not d.crossings:
             crossingless += 1
             continue
-        if not all(r.passed for r in verify_all(d, subject=e.name)):
+        reports = verify_all(d, subject=e.name)
+        if not all(r.passed for r in reports):
             failures += 1
+        skein = [r for r in reports if r.claim.startswith("orientation-sum-skein[")]
+        assert len(skein) == len(d.crossings), e.name
+        assert not any(r.passed for r in skein), e.name
     assert crossingless == 3
     assert failures == len(CORPUS) - 3
 

@@ -1,17 +1,24 @@
 import random
+from collections import Counter
 
 import pytest
 from moves import invert_a, mirror
 
 from lmtkauffman import cli
+from lmtkauffman import diagram as diagram_module
 from lmtkauffman import laurent as laurent_module
-from lmtkauffman.braid import random_closure
+from lmtkauffman.braid import braid_closure, random_closure, random_word
 from lmtkauffman.corpus import CORPUS, get
-from lmtkauffman.diagram import Diagram, InvalidDiagramError, parse_pd
+from lmtkauffman.diagram import Diagram, InvalidDiagramError, parse_pd, to_pd_text
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.lmt import verify_all
-from lmtkauffman.transfer import check_skein_identity, check_specialization_identity, g_tau
+from lmtkauffman.transfer import (
+    _smoothed_sum,
+    check_skein_identity,
+    check_specialization_identity,
+    g_tau,
+)
 
 
 def test_g_tau_small_cases():
@@ -70,6 +77,56 @@ def test_skein_identity_on_random_closures():
         d = random_closure(rng, 7)
         for ci in range(len(d.crossings)):
             assert check_skein_identity(d, ci).passed, (i, ci)
+
+
+def test_smoothed_sums_match_the_smoothed_diagrams():
+    # each smoothing's orientation sum, walked in the parent's end array,
+    # against the smoothed diagram built and summed plainly, at
+    # self-crossings (curls among them, and crossings that are a whole
+    # component) and at crossings between two components
+    rng = random.Random(57)
+    closures = [braid_closure(*random_word(rng, 12, max_strands=7)) for _ in range(320)]
+    curls = [parse_pd(t) for t in ("Xr 1 1 2 2\n", "Xl 1 2 2 1\n")]
+    curls += [Diagram(c.crossings, 2) for c in curls]
+    diagrams = [e.diagram() for e in CORPUS] + closures + curls
+    diagrams += [a.distant_union(b) for a, b in zip(closures[:40], closures[40:80])]
+    diagrams += [c.distant_union(b) for c in curls for b in closures[:5]]
+    kinds = Counter()
+    for d in diagrams:
+        for ci in range(len(d.crossings)):
+            u, o = d._crossing_comps[ci]
+            kinds["self" if u == o else "between"] += 1
+            for which in "AB":
+                want = g_tau(d.smooth(ci, which))
+                assert LaurentA(_smoothed_sum(d, ci, which)) == want, (to_pd_text(d), ci, which)
+    assert min(kinds.values()) > 1000, kinds
+    assert any(d.free_loops and d.crossings for d in closures)
+
+
+def test_skein_check_reads_the_smoothings_apart_from_the_sign_table(monkeypatch):
+    # a diagram sign table whose self-writhe is off by two fails every
+    # orientation-sum skein report: the smoothings are walked afresh, so
+    # they do not inherit the fault
+    sign_table_of = diagram_module._sign_table_of
+
+    def corrupted(strands, ends):
+        self_w, pairs = sign_table_of(strands, ends)
+        return self_w + 2, pairs
+
+    monkeypatch.setattr(diagram_module, "_sign_table_of", corrupted)
+    entries = 0
+    for e in CORPUS:
+        d = e.diagram()
+        if not d.crossings:
+            continue
+        entries += 1
+        reports = [
+            r for r in verify_all(d, subject=e.name)
+            if r.claim.startswith("orientation-sum-skein[")
+        ]
+        assert len(reports) == len(d.crossings), e.name
+        assert not any(r.passed for r in reports), e.name
+    assert entries == 13
 
 
 def test_skein_identity_refuses_crossings_the_diagram_lacks():
