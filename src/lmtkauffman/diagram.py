@@ -36,7 +36,7 @@ diagram is well formed and planar.  Edits that are valid by construction
 (switch, smoothing, union, braid closure) build trusted diagrams through
 ``_trusted``, which skips the checks.  The skein recursion builds no
 diagram: it works on end arrays and strands (a ``Node``), with
-``_switched``, ``_walk`` and ``_renumber``.
+``_switched`` and ``_renumber``, which walks and renumbers in one pass.
 """
 
 from __future__ import annotations
@@ -500,49 +500,42 @@ def _switched(mate: Sequence[int], strands: Sequence[Sequence[int]], x: int) -> 
     return tuple(out), tuple(tuple(map(moved, cyc)) for cyc in strands)
 
 
-def _walk(handles: Iterable[int], mate: Sequence[int]) -> list[list[int]]:
-    """The strands of handles' crossings in an end array, as cycles of arrival ends.
+def _renumber(handles: Iterable[int], mate: Sequence[int]) -> Node:
+    """handles' crossings in an end array as a node, walked and renumbered in one pass.
 
-    Each is walked from the smallest end not yet passed, taken as an
-    arrival, and its cycle ends there.
+    Each strand is walked from the smallest end not yet passed, taken as
+    an arrival, and its cycle ends there.  The crossings are numbered in
+    the order the walk meets them, each from the end where its
+    under-strand arrived (slot 0 or 2) on, counterclockwise; the walk's
+    per-end states tell which end that was.
     """
-    seen = [True] * len(mate)  # the ends of other handles count as passed
-    for h in handles:
-        seen[4 * h : 4 * h + 4] = [False] * 4
+    state = [2] * len(mate)  # per end: 0 unpassed, 1 an arrival, 2 passed
+    for h in handles:  # the ends of other handles count as passed
+        b = 4 * h
+        state[b] = state[b + 1] = state[b + 2] = state[b + 3] = 0
+    met: list[int] = []  # the crossings' slot 0 ends, in the order the walk meets them
     strands = []
     for start in range(len(mate)):
-        if seen[start]:
+        if state[start]:
             continue
         cyc = []
         x = start
         while x != start or not cyc:
-            seen[x] = seen[x ^ 2] = True
-            x = mate[x ^ 2]
+            if not state[x ^ 1]:  # the other strand not passed: x's crossing is new
+                met.append(x & ~3)
+            state[x] = 1
+            y = x ^ 2
+            state[y] = 2
+            x = mate[y]
             cyc.append(x)
         strands.append(cyc)
-    return strands
-
-
-def _renumber(handles: Iterable[int], mate: Sequence[int]) -> Node:
-    """handles' crossings as a node, walked by ``_walk`` and renumbered.
-
-    The crossings are numbered in the order the walk meets them, each
-    from its under-strand entry (slot 0) on, counterclockwise.
-    """
-    strands = _walk(handles, mate)
-    arrives = {x for cyc in strands for x in cyc}
-    moved = [-1] * len(mate)  # old end -> new end
-    old_ends: list[int] = []
-    for cyc in strands:
-        for x in (cyc[-1], *cyc):  # the walk starts at cyc[-1]
-            b = x & ~3
-            if moved[b] < 0:
-                x0 = b if b in arrives else b + 2
-                for y in (x0, x0 + 1, x0 ^ 2, x0 ^ 3):
-                    moved[y] = len(old_ends)
-                    old_ends.append(y)
-    renumbered = tuple(tuple(moved[x] for x in cyc) for cyc in strands)
-    return tuple(moved[mate[x]] for x in old_ends), renumbered
+    unders = [b if state[b] == 1 else b + 2 for b in met]  # where under-strands arrive
+    old_ends = [y ^ t for y in unders for t in (0, 1, 2, 3)]
+    moved = [0] * len(mate)  # old end -> new end
+    for i, y in enumerate(old_ends):
+        moved[y] = i
+    renumbered = tuple([tuple([moved[x] for x in cyc]) for cyc in strands])
+    return tuple([moved[mate[y]] for y in old_ends]), renumbered
 
 
 def _reassemble(handles: Iterable[int], mate: Sequence[int], free_loops: int) -> Diagram:

@@ -45,10 +45,12 @@ A removal touches O(1) entries of the array and puts the crossings next
 to it on the list, which is where a new curl or bigon can appear.
 Strands that close up with no crossing left are split circles, worth
 delta each, as are free loops beside crossings.  A child that lost
-crossings is walked and renumbered once, by ``diagram._renumber``; a
-child the rules leave whole is kept as it is.  A curl's sign comes from
-slot parity: even slots stay the under-strand, so which two adjacent
-slots a curl joins fixes its sign, whichever way the strands run.
+crossings is walked and renumbered in one pass by ``diagram._renumber``;
+a child the rules leave whole is kept as it is.  A child's factor a^k
+with no split circle shifts the a exponents of its value's terms.  A
+curl's sign comes from slot parity: even slots stay the under-strand, so
+which two adjacent slots a curl joins fixes its sign, whichever way the
+strands run.
 
 ``f_oriented`` rescales by a^(-writhe), which makes the value stable
 under curls as well, and ``specialized_f`` evaluates that at
@@ -122,40 +124,39 @@ def _reduce(
     mate = list(node[0])
     n = len(mate) // 4
     alive = [True] * n
-    k = loops = 0
+    k = loops = removed = 0
     todo = list(check)
-
-    def remove(h: int, pairing: Sequence[int]) -> None:
-        nonlocal loops
-        alive[h] = False
-        todo.extend(mate[x] >> 2 for x in range(4 * h, 4 * h + 4))
-        loops += _unplug(mate, h, pairing)
-
-    for h, pairing in pairings.items():
-        remove(h, pairing)
-    while todo:
-        h = todo.pop()
-        if not alive[h]:
-            continue
-        b = 4 * h
-        for s in range(4):
-            if mate[b + s] == b + (s + 1) % 4:
-                # a curl on slots s, s + 1: even s is worth a, odd s a^-1
-                k += 1 - 2 * (s & 1)
-                remove(h, SMOOTHING["A" if s & 1 else "B"])
-                break
-            # the bigon with arrival ends (h, s) and y = (h2, t), if any:
-            # its edges run (h, s - 1)-(h2, t) and (h2, t - 1)-(h, s) and
-            # each lie on one level when s - 1 and t share parity
-            y = mate[b + (s - 1) % 4]
-            if y >> 2 != h and (s + y) & 1 and mate[y - 1 if y & 3 else y + 3] == b + s:
-                remove(h, STRAIGHT)
-                remove(y >> 2, STRAIGHT)
-                break
-    kept = [h for h in range(n) if alive[h]]
-    if not kept:
+    drop = pairings.items()  # crossings to remove now, with their pairings
+    while drop or todo:
+        for h, pairing in drop:
+            alive[h] = False
+            b = 4 * h
+            todo += (mate[b] >> 2, mate[b + 1] >> 2, mate[b + 2] >> 2, mate[b + 3] >> 2)
+            loops += _unplug(mate, h, pairing)
+        removed += len(drop)
+        drop = ()
+        while todo and not drop:
+            h = todo.pop()
+            if not alive[h]:
+                continue
+            b = 4 * h
+            # slot s with the slots after and before it, counterclockwise
+            for s, after, before in (0, 1, 3), (1, 2, 0), (2, 3, 1), (3, 0, 2):
+                if mate[b + s] == b + after:
+                    # a curl on slots s, s + 1: even s is worth a, odd s a^-1
+                    k += 1 - 2 * (s & 1)
+                    drop = ((h, SMOOTHING["A" if s & 1 else "B"]),)
+                    break
+                # the bigon with arrival ends (h, s) and y = (h2, t), if any:
+                # its edges run (h, s - 1)-(h2, t) and (h2, t - 1)-(h, s) and
+                # each lie on one level when s - 1 and t share parity
+                y = mate[b + before]
+                if y >> 2 != h and (s + y) & 1 and mate[y - 1 if y & 3 else y + 3] == b + s:
+                    drop = ((h, STRAIGHT), (y >> 2, STRAIGHT))
+                    break
+    if removed == n:
         return k, loops - 1, None
-    return k, loops, node if len(kept) == n else _renumber(kept, mate)
+    return k, loops, _renumber([h for h in range(n) if alive[h]], mate) if removed else node
 
 
 def lambda_poly(d: Diagram, *, memo: dict | None = None) -> LaurentAZ:
@@ -183,7 +184,12 @@ def _child(node, pairings, check, memo, loops=0) -> LaurentAZ:
     if r is None:
         return _a_delta(k, loops)
     val = _lambda(r, memo)
-    return _a_delta(k, loops) * val if k or loops else val
+    if loops:
+        return _a_delta(k, loops) * val
+    if not k:
+        return val
+    # a^k alone shifts the a exponents
+    return LaurentAZ._from_pairs({(a + k, z): c for (a, z), c in val._terms.items()})
 
 
 def _lambda(node, memo) -> LaurentAZ:

@@ -7,6 +7,10 @@ as the edge at slot s + 2 of the same record.
 
 ``renumbered`` turns a traversal choice into edge numbering, which is
 how the tests reach every traversal of the package's engine.
+
+``walk_strands`` and ``renumber_node`` are a plain two-pass form of
+``diagram._renumber``: first walk the strands of an end array, then
+number the crossings along them.  Equal nodes mean equal memo keys.
 """
 
 from lmtkauffman.diagram import TAG_SIGN, Diagram
@@ -78,3 +82,49 @@ def renumbered(d, order=None, basepoints=None):
     new = {e: i for i, e in enumerate(_edges_along(d, order, basepoints), 1)}
     cs = tuple(c._replace(edges=tuple(new[e] for e in c.edges)) for c in d.crossings)
     return Diagram(cs, d.free_loops)
+
+
+def walk_strands(handles, mate):
+    """The strands of handles' crossings in an end array, as cycles of arrival ends.
+
+    Each is walked from the smallest end not yet passed, taken as an
+    arrival, and its cycle ends there.
+    """
+    seen = [True] * len(mate)  # the ends of other handles count as passed
+    for h in handles:
+        seen[4 * h : 4 * h + 4] = [False] * 4
+    strands = []
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while x != start or not cyc:
+            seen[x] = seen[x ^ 2] = True
+            x = mate[x ^ 2]
+            cyc.append(x)
+        strands.append(cyc)
+    return strands
+
+
+def renumber_node(handles, mate):
+    """(end array, strands) of handles' crossings, walked by ``walk_strands``.
+
+    The crossings are numbered in the order the walk meets them, each
+    from the end where its under-strand arrives (slot 0 or 2) on,
+    counterclockwise.
+    """
+    strands = walk_strands(handles, mate)
+    arrives = {x for cyc in strands for x in cyc}
+    moved = [-1] * len(mate)  # old end -> new end
+    old_ends = []
+    for cyc in strands:
+        for x in (cyc[-1], *cyc):  # the walk starts at cyc[-1]
+            b = x & ~3
+            if moved[b] < 0:
+                x0 = b if b in arrives else b + 2
+                for y in (x0, x0 + 1, x0 ^ 2, x0 ^ 3):
+                    moved[y] = len(old_ends)
+                    old_ends.append(y)
+    renumbered = tuple(tuple(moved[x] for x in cyc) for cyc in strands)
+    return tuple(moved[mate[x]] for x in old_ends), renumbered

@@ -17,6 +17,7 @@ from lmtkauffman.diagram import (
     _reassemble,
     _switched,
     parse_pd,
+    to_pd_text,
 )
 from lmtkauffman.kauffman import (
     DELTA,
@@ -281,6 +282,63 @@ def test_large_closures_take_few_switches(monkeypatch):
         calls.clear()
         lambda_poly(d)
         assert 0 < len(calls) <= 5000, len(calls)
+
+
+# The six 3-strand closures of the benchmark's compute-deep workload, with
+# the nodes each expands
+_COMPUTE_DEEP = {
+    "knot6a": ((1, 1, -2, 1, 2, 1), 2),
+    "knot6b": ((-1, -1, 2, 1, -2, -2), 2),
+    "link2_5a": ((1, -2, -1, -2, -2), 1),
+    "link2_5b": ((-1, -1, 2, 2, -1), 3),
+    "link3_6a": ((-2, 1, 2, -1, -2, -1), 2),
+    "link3_6b": ((-1, 2, 1, 2, 1, -2), 7),
+}
+
+
+def test_skein_tree_sizes_are_pinned():
+    # the nodes one call expands, read as len(memo): a change to what the
+    # rules remove, to the defect order or to the memo key moves them
+    trees = {
+        "T(2,200)": (braid_closure([1] * 200, 2), 199),
+        "chain 16": (_chain(16), 817),
+        "(s1 s2^-1 s3)^5": (braid_closure([1, -2, 3] * 5, 4), 3705),
+    }
+    for name, (word, nodes) in _COMPUTE_DEEP.items():
+        trees[name] = parse_pd(to_pd_text(braid_closure(list(word), 3))), nodes
+    for name, (d, nodes) in trees.items():
+        memo = {}
+        lambda_poly(d, memo=memo)
+        assert len(memo) == nodes, name
+
+
+def test_renumber_matches_the_two_pass_walk(monkeypatch):
+    # every node the engine and Diagram.smooth renumber equals the one
+    # the plain walk-then-number reference builds, so the memo keys agree
+    renumber = diagram_module._renumber
+    calls = []
+
+    def checked(handles, mate):
+        handles = list(handles)
+        got = renumber(handles, mate)
+        assert got == edge_walk.renumber_node(handles, mate)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(kauffman, "_renumber", checked)
+    monkeypatch.setattr(diagram_module, "_renumber", checked)
+    rng = random.Random(28)
+    for d in [e.diagram() for e in CORPUS] + [random_closure(rng, 12) for _ in range(40)]:
+        lambda_poly(d)
+    assert len(calls) > 50, len(calls)
+    calls.clear()
+    smoothings = 0
+    for e in CORPUS:
+        d = e.diagram()
+        for ci, which in itertools.product(range(len(d.crossings)), "AB"):
+            d.smooth(ci, which)
+            smoothings += 1
+    assert len(calls) == smoothings > 50
 
 
 # The Kauffman bracket <D> = A<smooth A> + A^-1<smooth B>, with a split
