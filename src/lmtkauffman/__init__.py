@@ -22,8 +22,12 @@ from .kauffman import (
 )
 from .laurent import LaurentA, LaurentAZ, SpecializationError, format_poly
 from .lmt import check_reversal_writhe, lmt_rhs, verify_all, verify_sublink_formula
-from .report import VerificationReport
-from .transfer import check_skein_identity, check_specialization_identity, g_tau
+from .transfer import (
+    VerificationReport,
+    check_skein_identity,
+    check_specialization_identity,
+    g_tau,
+)
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,7 @@ The text format accepted by :func:`parse_pd` has an optional first line
 Input is validated once, where it enters: ``Diagram(...)`` checks edge
 ids and roles and that the records can be drawn in the plane, so every
 diagram is well formed and planar.  Edits that are valid by construction
-(switch, smoothing, union, braid closure) build trusted diagrams through
+(switch, smoothing and braid closures) build trusted diagrams through
 ``_trusted``, which skips the checks.  The skein recursion builds no
 diagram: it works on end arrays and strands (a ``Node``), with
 ``_switched`` and ``_renumber``, which walks and renumbers in one pass.
@@ -321,14 +321,6 @@ class Diagram:
         mate = list(self._mate)
         loops = _unplug(mate, ci, SMOOTHING[which])
         return _reassemble([h for h in range(n) if h != ci], mate, self.free_loops + loops)
-
-    def distant_union(self, other: "Diagram") -> "Diagram":
-        """Place two diagrams side by side with nothing shared."""
-        shift = 2 * len(self.crossings)
-        shifted = tuple(
-            Crossing(tuple(e + shift for e in c.edges), c.tag) for c in other.crossings
-        )
-        return _trusted(self.crossings + shifted, self.free_loops + other.free_loops)
 
     # -- canonical form ---------------------------------------------------
 

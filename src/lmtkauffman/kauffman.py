@@ -52,6 +52,10 @@ curl's sign comes from slot parity: even slots stay the under-strand, so
 which two adjacent slots a curl joins fixes its sign, whichever way the
 strands run.
 
+A skein tree deeper than the interpreter's stack, such as that of the
+100-crossing closure of (s1 s2^-1)^50, is refused with a ``DiagramError``
+naming the cause; the stack limit is left as it is.
+
 ``f_oriented`` rescales by a^(-writhe), which makes the value stable
 under curls as well, and ``specialized_f`` evaluates that at
 z = -a - a^-1.
@@ -168,12 +172,19 @@ def lambda_poly(d: Diagram, *, memo: dict | None = None) -> LaurentAZ:
     edges along it.  memo, if given, maps end arrays to values and is
     shared across calls, which is safe for that reason.  Every diagram is
     planar (its constructor refuses records that are not), so every
-    nonempty one has a value.
+    nonempty one has a value, but a skein tree deeper than the
+    interpreter's stack is refused with a DiagramError.
     """
     if d.num_components == 0:
         raise EmptyDiagramError("the empty diagram has no polynomial")
     memo = {} if memo is None else memo
-    return _child((d._mate, d._strands), {}, range(len(d.crossings)), memo, d.free_loops)
+    try:
+        return _child((d._mate, d._strands), {}, range(len(d.crossings)), memo, d.free_loops)
+    except RecursionError:
+        raise DiagramError(
+            f"the skein recursion on these {len(d.crossings)} crossings runs deeper "
+            "than the interpreter's stack allows"
+        ) from None
 
 
 def _child(node, pairings, check, memo, loops=0) -> LaurentAZ:

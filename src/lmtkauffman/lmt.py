@@ -38,10 +38,11 @@ from __future__ import annotations
 from .diagram import Diagram, DiagramError, InternalInvariantError
 from .kauffman import lambda_poly
 from .laurent import LaurentA
-from .report import VerificationReport, compare
 from .transfer import (
+    VerificationReport,
     check_skein_identity,
     check_specialization_identity,
+    compare,
     g_tau,
     sum_over_masks,
     summed_components,

@@ -38,20 +38,45 @@ check instead of passing into both sides.  The sums stay plain
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
 computes it once for this identity and the sublink formula together.
+
+Every check, here and in ``lmt``, returns a ``VerificationReport``, built
+by this module's ``compare``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .diagram import SMOOTHING, TAG_SIGN, Diagram, DiagramError, InvalidDiagramError
 from .kauffman import EmptyDiagramError, lambda_poly
 from .laurent import LaurentA
-from .report import VerificationReport, compare
 
 # g_tau and lmt_rhs have coefficients up to 2^com; 4096 components keep
 # them within 1,234 digits, which print at once.
 MAX_SUM_COMPONENTS = 4096
+
+
+class VerificationReport(NamedTuple):
+    """One checked identity: the two compared values, plus the verdict.
+
+    lhs and rhs are the values the check computed, a LaurentA for a
+    polynomial claim and an int for a reversal-writhe claim; they are
+    rendered as text only where they are printed, which ``verify`` does
+    for a failing report alone.  ``passed`` is always their literal
+    equality, never a tolerance.  A named tuple, so immutable and cheap
+    to build: ``verify`` makes one per sublink, 2^com in all.
+    """
+
+    subject: str
+    claim: str
+    lhs: LaurentA | int
+    rhs: LaurentA | int
+    passed: bool
+
+
+def compare(subject: str, claim: str, lhs, rhs) -> VerificationReport:
+    """Build a report from two exactly comparable values."""
+    return VerificationReport(subject, claim, lhs, rhs, lhs == rhs)
 
 
 def sum_over_masks(

@@ -6,6 +6,8 @@ another across a face they both border, and must not change it at all;
 likewise the braid-word moves ``insert_cancelling_pair`` and
 ``triangle_pair``.  ``mirror`` switches every crossing, which
 ``invert_a`` (a -> a^-1) undoes on the framed polynomial.
+``distant_union`` places two diagrams side by side, where both
+polynomials multiply, the framed one with one more factor delta.
 """
 
 import random
@@ -28,6 +30,17 @@ from lmtkauffman.laurent import LaurentAZ
 def mirror(d: Diagram) -> Diagram:
     """Exchange over and under strands everywhere."""
     return Diagram(tuple(c.switched() for c in d.crossings), d.free_loops)
+
+
+def distant_union(d1: Diagram, d2: Diagram) -> Diagram:
+    """Place two diagrams side by side with nothing shared.
+
+    The second diagram's edge ids move up past the first's, so the
+    records stay valid and are left unchecked.
+    """
+    shift = 2 * len(d1.crossings)
+    shifted = tuple(Crossing(tuple(e + shift for e in c.edges), c.tag) for c in d2.crossings)
+    return _trusted(d1.crossings + shifted, d1.free_loops + d2.free_loops)
 
 
 def invert_a(p: LaurentAZ) -> LaurentAZ:

@@ -1,8 +1,12 @@
+import time
+
 import pytest
 
-from lmtkauffman import cli, kauffman
+from lmtkauffman import cli, diagram, kauffman
+from lmtkauffman.braid import braid_closure
 from lmtkauffman.cli import main
 from lmtkauffman.corpus import CORPUS, get
+from lmtkauffman.diagram import to_pd_text
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentAZ
 
@@ -251,6 +255,42 @@ def test_verify_corpus_porcelain(capsys):
     assert lines[-1] == "result=pass"
     assert all("=" in l for l in lines)
     assert any(l == "borromean.sublink-formula=pass" for l in lines)
+
+
+def test_verify_failures_print_both_sides_and_count(capsys, monkeypatch):
+    # every crossing tag counting +1 fails the orientation-sum skein checks
+    monkeypatch.setitem(diagram.TAG_SIGN, "l", 1)
+    code, out, err = run(capsys, "--porcelain", "verify", "--corpus")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "result=fail"
+    failed = [i for i, line in enumerate(lines[:-1]) if line.endswith("=fail")]
+    assert failed
+    for i in failed:
+        key = lines[i][: -len("=fail")]
+        assert lines[i + 1].startswith(f"{key}.lhs=")
+        assert lines[i + 2].startswith(f"{key}.rhs=")
+    code, out, err = run(capsys, "verify", "--corpus")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert len(fails) == len(failed)
+    assert all(": lhs=" in line and " rhs=" in line for line in fails)
+    assert lines[-1] == f"# {len(lines) - 1} checks, {len(fails)} failures"
+
+
+def test_skein_recursion_too_deep_for_the_stack_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, to_pd_text(braid_closure([1, -2] * 50, 3)))
+    for verb in ("compute", "verify"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, path)
+        assert time.perf_counter() - start < 2, verb
+        assert code == 1, verb
+        assert err.startswith("error: ") and err.count("\n") == 1, verb
+        assert "Traceback" not in err
+    # compute has printed its header by then; verify writes a subject's
+    # lines only once they are all computed
+    assert out == ""
 
 
 def test_verify_random_is_deterministic(capsys):

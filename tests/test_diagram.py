@@ -3,11 +3,11 @@ import random
 
 import edge_walk
 import pytest
-from moves import add_kink, all_pokes, mirror
+from moves import add_kink, all_pokes, distant_union, mirror
 
 from lmtkauffman import cli, diagram, kauffman
 from lmtkauffman.braid import braid_closure, random_closure, random_word
-from lmtkauffman.corpus import CORPUS
+from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import (
     Crossing,
     Diagram,
@@ -310,11 +310,18 @@ def test_smooth_always_drops_one_crossing():
 def test_distant_union():
     d1 = parse_pd(HOPF_POS)
     d2 = parse_pd(KINK_POS)
-    u = d1.distant_union(d2)
+    u = distant_union(d1, d2)
     assert u.num_components == 3
     assert u.writhe(0) == d1.writhe(0) + d2.writhe(0)
-    assert u.distant_union(Diagram((), 0)) == u
-    assert Diagram((), 0).distant_union(d1) == d1
+    assert distant_union(u, Diagram((), 0)) == u
+    assert distant_union(Diagram((), 0), d1) == d1
+
+
+def test_union_corpus_entry_is_the_trefoil_beside_a_circle():
+    # the entry is built as a 3-strand closure whose idle strand closes
+    # into the circle; it must stay the text of the union itself
+    union = distant_union(braid_closure([1, 1, 1], 2), Diagram((), 1))
+    assert get("union_trefoil_unknot").pd_text == to_pd_text(union)
 
 
 def _passages(d):
@@ -472,7 +479,7 @@ def _relabeled(d, rng):
 def _kinked_circles(signs):
     u = Diagram((), 0)
     for positive in signs:
-        u = u.distant_union(parse_pd(KINK_POS if positive else KINK_NEG))
+        u = distant_union(u, parse_pd(KINK_POS if positive else KINK_NEG))
     return u
 
 
@@ -483,8 +490,8 @@ def test_canonical_code_invariant_under_random_relabel():
         assert _relabeled(d, rng).canonical_code() == d.canonical_code()
     # split unions, in both orders
     for d1, d2 in zip(closures, closures[1:]):
-        u = d1.distant_union(d2)
-        assert d2.distant_union(d1).canonical_code() == u.canonical_code()
+        u = distant_union(d1, d2)
+        assert distant_union(d2, d1).canonical_code() == u.canonical_code()
         assert _relabeled(u, rng).canonical_code() == u.canonical_code()
     # unions of 2-12 kinked circles: the code sees only how many curl each way
     for k in range(2, 13):
@@ -543,7 +550,7 @@ def test_trusted_constructions_match_validated_ones(monkeypatch):
         _audit(d)
         diagrams.append(d)
     for d, other in zip(diagrams, diagrams[1:] + diagrams[:1]):
-        outputs = [mirror(d), d.distant_union(other)]
+        outputs = [mirror(d), distant_union(d, other)]
         for ci in range(len(d.crossings)):
             s = d.switch(ci)
             cj = rng.randrange(len(d.crossings))
@@ -580,7 +587,7 @@ def test_trusted_constructions_match_validated_ones(monkeypatch):
     monkeypatch.setattr(kauffman, "_reduce", recording)
     roots = []
     for d in diagrams[:20]:
-        looped = d.distant_union(Diagram((), 2))
+        looped = distant_union(d, Diagram((), 2))
         roots.append((looped, len(calls)))
         lambda_poly(looped)
         if d.crossings:

@@ -13,6 +13,7 @@ held to reports rebuilt the same plain way.
 import random
 
 import edge_walk
+from moves import distant_union
 
 from lmtkauffman.braid import braid_closure, random_closure
 from lmtkauffman.corpus import CORPUS, get
@@ -20,8 +21,7 @@ from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import lambda_poly, specialized_f
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.lmt import lmt_rhs, verify_all
-from lmtkauffman.report import VerificationReport
-from lmtkauffman.transfer import g_tau
+from lmtkauffman.transfer import VerificationReport, g_tau
 
 MAX_COM = 8
 
@@ -98,7 +98,7 @@ def test_split_unions_with_free_loops_match_plain_enumeration():
     rng = random.Random(71)
     checked = 0
     for _ in range(10):
-        d = random_closure(rng, 3).distant_union(random_closure(rng, 3))
+        d = distant_union(random_closure(rng, 3), random_closure(rng, 3))
         for loops in range(4):
             for x in _small([Diagram(d.crossings, d.free_loops + loops)]):
                 _check(x)
@@ -174,7 +174,7 @@ def test_verify_all_matches_reports_rebuilt_plainly():
         for header in ("", "loops 2\n"):
             text = header + curl
             subjects.append((text.replace("\n", " ").strip(), parse_pd(text)))
-    union = random_closure(rng, 5).distant_union(random_closure(rng, 5))
+    union = distant_union(random_closure(rng, 5), random_closure(rng, 5))
     subjects.append(("union", union))
     unions = [
         ("trefoil_right", "hopf_pos"),
@@ -186,11 +186,11 @@ def test_verify_all_matches_reports_rebuilt_plainly():
     for names in unions:
         d = get(names[0]).diagram()
         for name in names[1:]:
-            d = d.distant_union(get(name).diagram())
+            d = distant_union(d, get(name).diagram())
         subjects.append(("+".join(names), d))
     for i in range(4):
-        d = random_closure(rng, 4).distant_union(get("figure_eight").diagram())
-        subjects.append((f"union[{i}]", d.distant_union(random_closure(rng, 4))))
+        d = distant_union(random_closure(rng, 4), get("figure_eight").diagram())
+        subjects.append((f"union[{i}]", distant_union(d, random_closure(rng, 4))))
     gapped = [name for name, d in subjects if (m := _plain_linked(d)) & (m + 1)]
     assert "hopf_pos+trefoil_left+hopf_neg" in gapped and "whitehead+hopf_pos" in gapped
     for name, d in subjects:

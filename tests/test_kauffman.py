@@ -1,10 +1,19 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import edge_walk
 import pytest
-from moves import add_kink, all_pokes, first_poke, insert_cancelling_pair, invert_a, mirror
+from moves import (
+    add_kink,
+    all_pokes,
+    distant_union,
+    first_poke,
+    insert_cancelling_pair,
+    invert_a,
+    mirror,
+)
 
 from lmtkauffman import diagram as diagram_module
 from lmtkauffman import kauffman
@@ -13,6 +22,7 @@ from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import (
     Crossing,
     Diagram,
+    DiagramError,
     InvalidDiagramError,
     _reassemble,
     _switched,
@@ -52,6 +62,16 @@ def test_closed_form_of_curls_and_circles():
 def test_empty_diagram_rejected():
     with pytest.raises(EmptyDiagramError):
         lambda_poly(Diagram((), 0))
+
+
+def test_skein_tree_deeper_than_the_stack_is_refused():
+    # the closure of (s1 s2^-1)^50 recurses deeper than the interpreter's
+    # stack: a DiagramError naming the cause, not a RecursionError
+    d = braid_closure([1, -2] * 50, 3)
+    start = time.perf_counter()
+    with pytest.raises(DiagramError, match="100 crossings runs deeper than the"):
+        lambda_poly(d)
+    assert time.perf_counter() - start < 2
 
 
 def test_single_curls():
@@ -101,7 +121,7 @@ def test_distant_union_multiplies_with_delta():
     for _ in range(15):
         d1 = random_closure(rng, 5)
         d2 = random_closure(rng, 5)
-        u = d1.distant_union(d2)
+        u = distant_union(d1, d2)
         assert lambda_poly(u) == DELTA * lambda_poly(d1) * lambda_poly(d2)
 
 
@@ -223,7 +243,7 @@ def _cascading_inputs():
         out += pokes
     assert len(out) == 12
     # all of these beside free loops
-    out += [d.distant_union(Diagram((), k)) for d, k in zip(out, itertools.cycle((1, 2)))]
+    out += [distant_union(d, Diagram((), k)) for d, k in zip(out, itertools.cycle((1, 2)))]
     return out
 
 
@@ -248,7 +268,7 @@ def test_engine_matches_plain_recursion():
     diagrams.append(braid_closure([1, -2] * 3, 3))
     diagrams.append(braid_closure([1, -1], 2))
     diagrams += [
-        e.diagram().distant_union(Diagram((), k))
+        distant_union(e.diagram(), Diagram((), k))
         for e, k in zip(CORPUS, itertools.cycle((1, 2, 3)))
         if len(e.diagram().crossings) <= 6
     ]
@@ -465,7 +485,7 @@ def test_skein_recursion_validates_no_diagram(monkeypatch):
     d = get("borromean").diagram()
     assert len(d.crossings) == 6
     # a poke adds an R2 bigon, the loops split circles
-    poked = first_poke(d).distant_union(Diagram((), 2))
+    poked = distant_union(first_poke(d), Diagram((), 2))
     calls = []
     validate = Diagram.__post_init__
     trusted = diagram_module._trusted

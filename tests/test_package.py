@@ -1,12 +1,13 @@
 """The package's public surface is exactly what ``__all__`` lists, every
-module in it is reached, and nothing outside its arguments and input
-files steers it."""
+module in it is reached, nothing outside its arguments and input files
+steers it, and its sources parse at the oldest Python it supports."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import lmtkauffman
 
@@ -45,3 +46,12 @@ def test_every_module_is_reached():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 reached.update([node.module] if node.module else [a.name for a in node.names])
     assert {m.name for m in pkgutil.iter_modules(lmtkauffman.__path__)} <= reached
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
