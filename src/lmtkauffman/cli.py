@@ -61,9 +61,12 @@ def _parse_mask(bits: str | None, d: Diagram) -> int:
     return int(bits[::-1] or "0", 2)  # character i is bit i
 
 
-def _header(args, path: str, d: Diagram) -> None:
+def _print_result(args, path: str, d: Diagram, lines: list[str]) -> None:
+    # the header goes out only with the result, so a refused input
+    # leaves nothing on stdout
     if not args.porcelain:
         print(f"# {path}: {len(d.crossings)} crossings, {d.num_components} components")
+    print("\n".join(lines))
 
 
 def cmd_compute(args) -> int:
@@ -77,35 +80,32 @@ def cmd_compute(args) -> int:
             f"has {com}: its polynomial would run to z^-{com - 1}"
         )
     mask = _parse_mask(args.orientation, d)
-    _header(args, args.path, d)
     lam = lambda_poly(d)
-    print(f"lambda={lam}")
+    lines = [f"lambda={lam}"]
     if args.oriented:
         # f_oriented from the lambda above, so the skein recursion runs once
         w = d.writhe(mask)
         f = LaurentAZ.monomial(1, -w) * lam
-        print(f"writhe={w}")
-        print(f"f={f}")
+        lines += [f"writhe={w}", f"f={f}"]
     if args.specialize:
         if args.oriented:
-            print(f"f_specialized={f.substitute_z()}")
+            lines.append(f"f_specialized={f.substitute_z()}")
         else:
-            print(f"lambda_specialized={lam.substitute_z()}")
+            lines.append(f"lambda_specialized={lam.substitute_z()}")
+    _print_result(args, args.path, d, lines)
     return 0
 
 
 def cmd_gtau(args) -> int:
     d = _read_diagram(args.path)
-    _header(args, args.path, d)
-    print(f"gtau={g_tau(d)}")
+    _print_result(args, args.path, d, [f"gtau={g_tau(d)}"])
     return 0
 
 
 def cmd_lmt(args) -> int:
     d = _read_diagram(args.path)
     mask = _parse_mask(args.orientation, d)
-    _header(args, args.path, d)
-    print(f"lmt_rhs={lmt_rhs(d, mask)}")
+    _print_result(args, args.path, d, [f"lmt_rhs={lmt_rhs(d, mask)}"])
     return 0
 
 
@@ -142,20 +142,23 @@ def cmd_verify(args) -> int:
     checks = 0
     for name, d in _verify_targets(args):
         # one write per subject: --random N still streams, a closure at a time
+        reports = verify_all(d, subject=name)
+        checks += len(reports)
         lines = []
-        for r in verify_all(d, subject=name):
-            checks += 1
+        for subject, claim, lhs, rhs, passed in reports:
+            if passed:
+                lines.append(
+                    f"{subject}.{claim}=pass\n" if args.porcelain else f"PASS {subject} {claim}\n"
+                )
+                continue
+            failures += 1
             if args.porcelain:
-                lines.append(f"{r.subject}.{r.claim}={'pass' if r.passed else 'fail'}\n")
-                if not r.passed:
-                    lines.append(f"{r.subject}.{r.claim}.lhs={r.lhs}\n")
-                    lines.append(f"{r.subject}.{r.claim}.rhs={r.rhs}\n")
-            elif not r.passed:
-                lines.append(f"FAIL {r.subject} {r.claim}: lhs={r.lhs} rhs={r.rhs}\n")
+                lines.append(
+                    f"{subject}.{claim}=fail\n"
+                    f"{subject}.{claim}.lhs={lhs}\n{subject}.{claim}.rhs={rhs}\n"
+                )
             else:
-                lines.append(f"PASS {r.subject} {r.claim}\n")
-            if not r.passed:
-                failures += 1
+                lines.append(f"FAIL {subject} {claim}: lhs={lhs} rhs={rhs}\n")
         sys.stdout.write("".join(lines))
     if args.porcelain:
         print(f"result={'pass' if failures == 0 else 'fail'}")

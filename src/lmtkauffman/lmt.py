@@ -17,20 +17,24 @@ of C[u, o] * e_u * e_o over the pairs of components that S separates
 (``Diagram.pair_signs``), so -4 lk(S, rest) is a sum over the edges of
 the linking graph and the sum over S is a product over its connected
 pieces (``transfer.sum_over_masks``); a component that links nothing
-just doubles it.  The right side still comes from crossing signs alone,
-independent of the skein recursion on the left.  The reversal-writhe
-checks are one report per sublink, so ``verify_all`` still returns 2^com
-of them, and refuses diagrams above ``MAX_VERIFY_COMPONENTS``.  It
-computes far fewer: reversing a component that is in no pair of the
-flat pair table changes neither the writhe nor a linking number, so the
-report for sublink S has the sides and verdict of the one for S's linked
-part, and each linked part is checked once, through ``Diagram.writhe``
-and ``Diagram.linking_number``.
+just doubles it, a component linked to one other factors out as
+(1 + a^(-2 C)), and only the 2-core left of a piece once such leaves are
+stripped is enumerated, so a chain costs linear time.  The right side
+still comes from crossing signs alone, independent of the skein
+recursion on the left.  The reversal-writhe checks are one report per
+sublink, so ``verify_all`` still returns 2^com of them, and refuses
+diagrams above ``MAX_VERIFY_COMPONENTS``.  It computes far fewer:
+reversing a component that is in no pair of the flat pair table changes
+neither the writhe nor a linking number, so the report for sublink S has
+the sides and verdict of the one for S's linked part, and each linked
+part is checked once, through ``Diagram.writhe`` and
+``Diagram.linking_number``.
 
 ``verify_all`` specializes lambda once, lambda(z = -a - a^-1), and hands
 it to the sublink formula and to the specialization identity.  Setting z
 commutes with multiplying by a power of a, so a^(-writhe) times it is
-exactly ``specialized_f``.
+exactly ``specialized_f``; the sublink formula shifts its exponents by
+-writhe as a dict.
 """
 
 from __future__ import annotations
@@ -101,10 +105,10 @@ def verify_sublink_formula(
     lambda_poly(d).substitute_z(), so that a caller checking it against
     more than one identity specializes it once.
     """
-    shift = LaurentA.monomial(1, -d.writhe(mask))
+    w = d.writhe(mask)
     if lam is None:
         lam = lambda_poly(d).substitute_z()
-    lhs = shift * lam
+    lhs = LaurentA._from_pairs({(e - w, 0): c for (e, _), c in lam._terms.items()})
     rhs = lmt_rhs(d, mask)
     return compare(subject, "sublink-formula", lhs, rhs)
 
@@ -126,19 +130,23 @@ def verify_all(d: Diagram, subject: str = "") -> list[VerificationReport]:
     reports = [verify_sublink_formula(d, subject=subject, lam=lam)]
     g = g_tau(d)
     reports.append(check_specialization_identity(d, subject=subject, g=g, lam=lam))
-    for ci in range(len(d.crossings)):
-        reports.append(check_skein_identity(d, ci, subject=subject, g=g))
-    # the report for sublink s is the one for its linked part s & linked
+    reports += [
+        check_skein_identity(d, ci, subject=subject, g=g) for ci in range(len(d.crossings))
+    ]
+    # the report for sublink s has the sides of the one for its linked
+    # part s & linked, each submask of linked checked once, in order
     linked = 0
     for u, o, _ in d._sign_table[1]:
         linked |= 1 << u | 1 << o
-    by_linked: dict[int, VerificationReport] = {}
-    for s in range(1 << com):
-        key = s & linked
-        r = by_linked.get(key)
-        if r is None:
-            r = by_linked[key] = check_reversal_writhe(d, 0, key, writhe=w)
-        reports.append(
-            VerificationReport(subject, f"reversal-writhe[{s:b}]", r.lhs, r.rhs, r.passed)
-        )
+    sides = {}
+    key = 0
+    while True:
+        sides[key] = check_reversal_writhe(d, 0, key, writhe=w)[2:]
+        if key == linked:
+            break
+        key = (key - linked) & linked
+    reports += [
+        VerificationReport(subject, f"reversal-writhe[{s:b}]", *sides[s & linked])
+        for s in range(1 << com)
+    ]
     return reports

@@ -16,12 +16,18 @@ The sum is not enumerated over all 2^com masks.  Under a mask the writhe
 is the self-writhe + sum of C[u, o] * e_u * e_o over pairs of components
 (``Diagram.pair_signs``), so it splits into one term per connected piece
 of the linking graph, whose edges are the pairs with C != 0, and the sum
-over masks is a product over the pieces: 2^k masks for a piece of k
-components, and a factor 2 for each component that links nothing.
-``sum_over_masks`` does this for any weight that is a sum over those
-pairs, and ``lmt.lmt_rhs`` uses it too.  Every value still comes from
-crossing signs alone, so the check against the engine stays independent
-of the recursion; only the order of summation changes.
+over masks is a product over the pieces, with a factor 2 for each
+component that links nothing.  A component linked to one other adds
+a^C or a^-C whichever way that one is oriented, so it factors out as
+(a^C + a^-C), and its partner may then be left with one link in turn.
+Only what remains of a piece after these leaves are stripped, its
+2-core, is enumerated: 2^k masks for a core of k components, none for a
+forest such as a chain.  A diagram with no linked pair at all sums to
+(-2)^com * a^self-writhe at once.  ``sum_over_masks`` does this for any
+weight that is a sum over those pairs, and ``lmt.lmt_rhs`` uses it too.
+Every value still comes from crossing signs alone, so the check against
+the engine stays independent of the recursion; only the order of
+summation changes.
 
 ``check_skein_identity`` builds no diagram: the switch's sum is the
 diagram's sign table with one sign changed, which at a self-crossing
@@ -30,14 +36,16 @@ end array, a strand reaching the crossing going on from the slot the
 smoothing joins it to, with its signs read from the slots where its
 strands arrive: nothing is copied or rewired, and nothing is taken from
 the diagram's strands or sign table, so a fault in those fails the
-check instead of passing into both sides.  The sums stay plain
-{a_exp: coeff} dicts: each side adds its two into one dict, the factor
--a - a^-1 of the smoothings as two exponent shifts, and becomes a
-``LaurentA`` once, for the report.
+check instead of passing into both sides.  The sums stay plain dicts:
+the left side adds the diagram's terms, read in place, to the switch's,
+the right side the two smoothings', the factor -a - a^-1 as two
+exponent shifts, and each side becomes a ``LaurentA`` once, for the
+report.
 
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
 computes it once for this identity and the sublink formula together.
+It scales that polynomial's terms by -2 as a dict, not by a product.
 
 Every check, here and in ``lmt``, returns a ``VerificationReport``, built
 by this module's ``compare``.
@@ -45,7 +53,7 @@ by this module's ``compare``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagram import SMOOTHING, TAG_SIGN, Diagram, DiagramError, InvalidDiagramError
 from .kauffman import EmptyDiagramError, lambda_poly
@@ -86,33 +94,56 @@ def sum_over_masks(
 
     weights maps a pair u < o of components to (w_same, w_cut); the
     weight of x sums w_same over the pairs whose bits agree in x and
-    w_cut over the pairs they separate.  The sum is a product over the
-    connected pieces of the graph on those pairs, each piece enumerated
-    alone, times 2 for every component in no pair.
+    w_cut over the pairs they separate.  A component in exactly one pair
+    adds w_same for one of its bits and w_cut for the other, whichever
+    way its partner's bit is set, so it factors out as
+    (a^w_same + a^w_cut) and its partner may become such a leaf in turn.
+    What is left is a product over the connected pieces of the graph on
+    the remaining pairs (its 2-core), each piece enumerated alone, times
+    2 for every component left in no pair.  A forest costs linear time.
     """
-    adjacent: dict[int, list[int]] = {}
-    for u, o in weights:
-        adjacent.setdefault(u, []).append(o)
-        adjacent.setdefault(o, []).append(u)
+    adjacent: dict[int, dict[int, tuple[int, int]]] = {}
+    for (u, o), w in weights.items():
+        adjacent.setdefault(u, {})[o] = w
+        adjacent.setdefault(o, {})[u] = w
+    factors = []
+    leaves = [v for v, partners in adjacent.items() if len(partners) == 1]
+    for v in leaves:
+        partners = adjacent[v]
+        if len(partners) != 1:  # its partner was stripped first
+            continue
+        ((p, w),) = partners.items()
+        del adjacent[v]
+        del adjacent[p][v]
+        factors.append(w)
+        if len(adjacent[p]) == 1:
+            leaves.append(p)
+    core = {v: partners for v, partners in adjacent.items() if partners}
+    total = {0: 1 << (com - len(core) - len(factors))}
+    for same, cut in factors:
+        product: dict[int, int] = {}
+        for e, c in total.items():
+            product[e + same] = product.get(e + same, 0) + c
+            product[e + cut] = product.get(e + cut, 0) + c
+        total = product
     seen: set[int] = set()
-    total = {0: 1 << (com - len(adjacent))}
-    for root in adjacent:
+    for root in core:
         if root in seen:
             continue
         seen.add(root)
         piece = [root]
         for v in piece:
-            for x in adjacent[v]:
+            for x in core[v]:
                 if x not in seen:
                     seen.add(x)
                     piece.append(x)
         bit = {v: i for i, v in enumerate(piece)}
-        edges = [(bit[u], bit[o], w) for (u, o), w in weights.items() if u in bit]
+        edges = [(bit[u], bit[o], w) for u in piece for o, w in core[u].items() if u < o]
         terms: dict[int, int] = {}
         for x in range(1 << len(piece)):
             e = sum(w[((x >> i) ^ (x >> j)) & 1] for i, j, w in edges)
             terms[e] = terms.get(e, 0) + 1
-        product: dict[int, int] = {}
+        product = {}
         for e, c in total.items():
             for f, k in terms.items():
                 product[e + f] = product.get(e + f, 0) + c * k
@@ -136,11 +167,14 @@ def summed_components(com: int, what: str) -> int:
     return com
 
 
-def _orientation_terms(com: int, self_w: int, pairs: Iterable[tuple]) -> dict[int, int]:
+def _orientation_terms(com: int, self_w: int, pairs: Sequence[tuple]) -> dict[int, int]:
     # g_tau from a sign table (Diagram._sign_table), as {a_exp: coeff};
     # reversing one of two linked components negates their count C, so
-    # each pair weighs (C, -C)
+    # each pair weighs (C, -C), and with no pair every mask has the
+    # self-writhe
     summed_components(com, "orientation sum")
+    if not pairs:
+        return {self_w: (-2) ** com}
     weights = {(u, o): (c, -c) for u, o, c in pairs}
     sign = (-1) ** com
     return {self_w + e: sign * c for e, c in sum_over_masks(com, weights).items()}
@@ -155,20 +189,24 @@ def g_tau(d: Diagram) -> LaurentA:
     return LaurentA(_orientation_terms(d.num_components, *d._sign_table))
 
 
-def _switched_sum(d: Diagram, ci: int, g: dict[int, int]) -> dict[int, int]:
-    # g_tau(d.switch(ci)), g being g_tau(d): the same components, crossing
-    # ci's sign changed, which at a self-crossing shifts every writhe alike
-    c = d.crossings[ci]
-    shift = TAG_SIGN[c.switched().tag] - TAG_SIGN[c.tag]
-    u, o = sorted(d._crossing_comps[ci])
+def _switched_sum(d: Diagram, ci: int, g: dict[tuple, int]) -> dict[tuple, int]:
+    # g_tau(d.switch(ci)) keyed (a_exp, 0), g being g_tau(d)'s terms: the
+    # same components, crossing ci's sign changed, which at a self-crossing
+    # shifts every writhe alike
+    tag = d.crossings[ci].tag
+    shift = TAG_SIGN["l" if tag == "r" else "r"] - TAG_SIGN[tag]
+    u, o = d._crossing_comps[ci]
     if u == o:
-        return {e + shift: k for e, k in g.items()}
+        return {(e + shift, 0): k for (e, _), k in g.items()}
+    if u > o:
+        u, o = o, u
     self_w, pairs = d._sign_table
     between = {(p, q): k for p, q, k in pairs}
     between[u, o] = between.get((u, o), 0) + shift
-    return _orientation_terms(
+    terms = _orientation_terms(
         d.num_components, self_w, [(*p, k) for p, k in between.items() if k]
     )
+    return {(e, 0): k for e, k in terms.items()}
 
 
 def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
@@ -228,16 +266,21 @@ def check_skein_identity(
     """
     if not 0 <= ci < len(d.crossings):
         raise InvalidDiagramError(f"crossing not found: {ci}")
-    terms = (g_tau(d) if g is None else g).terms
+    terms = (g_tau(d) if g is None else g)._terms
     lhs = _switched_sum(d, ci, terms)
-    for e, c in terms.items():
-        lhs[e] = lhs.get(e, 0) + c
+    for k, c in terms.items():
+        lhs[k] = lhs.get(k, 0) + c
     rhs: dict[int, int] = {}
     for which in "AB":
         for e, c in _smoothed_sum(d, ci, which).items():
             rhs[e + 1] = rhs.get(e + 1, 0) - c
             rhs[e - 1] = rhs.get(e - 1, 0) - c
-    return compare(subject, f"orientation-sum-skein[{ci}]", LaurentA(lhs), LaurentA(rhs))
+    return compare(
+        subject,
+        f"orientation-sum-skein[{ci}]",
+        LaurentA._from_pairs(lhs),
+        LaurentA._from_pairs({(e, 0): c for e, c in rhs.items()}),
+    )
 
 
 def check_specialization_identity(
@@ -252,5 +295,7 @@ def check_specialization_identity(
     lambda_poly(d).substitute_z().
     """
     lhs = g_tau(d) if g is None else g
-    rhs = -2 * (lambda_poly(d).substitute_z() if lam is None else lam)
+    if lam is None:
+        lam = lambda_poly(d).substitute_z()
+    rhs = LaurentA._from_pairs({k: -2 * c for k, c in lam._terms.items()})
     return compare(subject, "orientation-sum-vs-engine", lhs, rhs)

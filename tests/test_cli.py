@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentAZ
 
 HOPF = "Xr 1 3 4 2\nXr 3 1 2 4\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, text, name="d.pd"):
@@ -288,9 +293,29 @@ def test_skein_recursion_too_deep_for_the_stack_is_an_input_error(tmp_path, caps
         assert code == 1, verb
         assert err.startswith("error: ") and err.count("\n") == 1, verb
         assert "Traceback" not in err
-    # compute has printed its header by then; verify writes a subject's
-    # lines only once they are all computed
-    assert out == ""
+        # compute prints its header only with its result; verify writes a
+        # subject's lines only once they are all computed
+        assert out == "", verb
+
+
+def test_refused_inputs_leave_stdout_empty_in_human_form(tmp_path, capsys):
+    # the human header comes out together with the result, never before
+    # a refusal that the computation itself raises
+    empty = write(tmp_path, "", "empty.pd")
+    loops = write(tmp_path, "loops 5000\n", "loops.pd")
+    deep = write(tmp_path, to_pd_text(braid_closure([1, -2] * 50, 3)), "deep.pd")
+    cases = [
+        ("compute", empty),
+        ("gtau", empty),
+        ("lmt", empty),
+        ("gtau", loops),
+        ("lmt", loops),
+        ("compute", deep),
+    ]
+    for verb, path in cases:
+        code, out, err = run(capsys, verb, path)
+        assert code == 1 and out == "", (verb, path)
+        assert err.startswith("error: ") and err.count("\n") == 1, (verb, path)
 
 
 def test_verify_random_is_deterministic(capsys):
@@ -417,6 +442,30 @@ def test_help_still_exits_0(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def _run_module(*argv):
+    # python -m lmtkauffman.cli in a process of its own, on this checkout's src/
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "lmtkauffman.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_module_entry_point_exits_with_mains_code(capsys):
+    proc = _run_module("--help")
+    assert proc.returncode == 0 and "usage:" in proc.stdout
+    proc = _run_module("--bogus")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = _run_module("--porcelain", "verify", "--corpus")
+    code, out, err = run(capsys, "--porcelain", "verify", "--corpus")
+    assert code == 0 and err == "" and out.endswith("result=pass\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_consecutive_calls_share_one_parser(tmp_path, capsys):

@@ -21,7 +21,7 @@ from lmtkauffman.diagram import Diagram, parse_pd
 from lmtkauffman.kauffman import lambda_poly, specialized_f
 from lmtkauffman.laurent import LaurentA
 from lmtkauffman.lmt import lmt_rhs, verify_all
-from lmtkauffman.transfer import VerificationReport, g_tau
+from lmtkauffman.transfer import VerificationReport, g_tau, sum_over_masks
 
 MAX_COM = 8
 
@@ -106,11 +106,96 @@ def test_split_unions_with_free_loops_match_plain_enumeration():
     assert checked > 20
 
 
+def _plain_sum_over_masks(com, weights):
+    terms = {}
+    for x in range(1 << com):
+        e = sum(w[((x >> u) ^ (x >> o)) & 1] for (u, o), w in weights.items())
+        terms[e] = terms.get(e, 0) + 1
+    return terms
+
+
+def _shapes(n, rng):
+    # edge lists on vertices 0..n-1, by shape
+    path = [(i, i + 1) for i in range(n - 1)]
+    shapes = {
+        "path": path,
+        "star": [(0, i) for i in range(1, n)],
+        "forest": [(i, rng.randrange(i)) for i in range(1, n) if rng.random() < 0.8],
+        "pairs": [(i, i + 1) for i in range(0, n - 1, 2)],
+        "random": [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.3],
+    }
+    if n >= 3:
+        cycle = path + [(n - 1, 0)]
+        shapes["cycle"] = cycle
+        # a cycle with trees hung on it: leaves strip down to the cycle
+        shapes["cycle+trees"] = [(0, 1), (1, 2), (2, 0)] + [
+            (i, rng.randrange(i)) for i in range(3, n)
+        ]
+    if n <= 8:
+        shapes["complete"] = [(i, j) for j in range(n) for i in range(j)]
+    if n >= 7:
+        # two triangles joined by a path, and a chord across a cycle
+        shapes["dumbbell"] = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]
+        shapes["chorded"] = path + [(n - 1, 0), (0, n // 2)]
+    return shapes
+
+
+def test_sum_over_masks_matches_plain_enumeration_on_weight_graphs():
+    # synthetic weight graphs of up to 12 components, relabelled at random,
+    # some components left in no pair and some pairs with w_same == w_cut
+    rng = random.Random(73)
+    checked = set()
+    for n in range(1, 13):
+        for name, edges in _shapes(n, rng).items():
+            for _ in range(2):
+                com = rng.randint(n, 12)
+                label = rng.sample(range(com), com)
+                weights = {}
+                for i, j in edges:
+                    u, o = sorted((label[i], label[j]))
+                    same = rng.randint(-4, 4)
+                    weights[u, o] = (same, same if rng.random() < 0.2 else rng.randint(-4, 4))
+                assert sum_over_masks(com, weights) == _plain_sum_over_masks(com, weights), (
+                    name,
+                    com,
+                    weights,
+                )
+                checked.add(name)
+    assert len(checked) == 10
+
+
+def _chain(k):
+    # the closure of s1^2 s2^2 ... s_(k-1)^2: each component links the next
+    return braid_closure([i for i in range(1, k) for _ in range(2)], k)
+
+
 def test_unenumerable_sizes_take_their_closed_forms():
     # 2^40 masks could not be enumerated; forty free loops link nothing
     d = Diagram((), 40)
     assert g_tau(d) == LaurentA({0: (-2) ** 40})
     assert lmt_rhs(d) == LaurentA({0: (-2) ** 39})
+    # chain 40 links each component with the next: its linking graph is a
+    # path of 39 pairs, so both sums are products of one factor per pair
+    d = _chain(40)
+    assert d.num_components == 40
+    degree = [0] * 40
+    for u, o in d.pair_signs():
+        degree[u] += 1
+        degree[o] += 1
+    assert sorted(degree) == [1, 1] + [2] * 38
+    for mask in (0, 0b1011 << 20):
+        counts = d.pair_signs(mask).values()
+        assert len(counts) == 39 and all(abs(c) == 2 for c in counts)
+        if mask == 0:
+            self_w = d.writhe() - sum(counts)
+            want = LaurentA({self_w: 2})
+            for c in counts:
+                want = want * LaurentA({c: 1, -c: 1})
+            assert g_tau(d) == want
+        want = LaurentA({0: -1})
+        for c in counts:
+            want = want * LaurentA({0: 1, -2 * c: 1})
+        assert lmt_rhs(d, mask) == want, mask
 
 
 def _plain_report(subject, claim, lhs, rhs):
