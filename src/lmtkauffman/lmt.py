@@ -28,7 +28,11 @@ reversing a component that is in no pair of the flat pair table changes
 neither the writhe nor a linking number, so the report for sublink S has
 the sides and verdict of the one for S's linked part, and each linked
 part is checked once, through ``Diagram.writhe`` and
-``Diagram.linking_number``.
+``Diagram.linking_number``.  The 2^com sides are listed one component at
+a time: an unlinked component doubles the list, a linked one adds one
+lookup per new sublink.  Each report is made by ``tuple.__new__``, as
+the named tuple's ``_make`` does, so no Python-level constructor runs
+2^com times.
 
 ``verify_all`` specializes lambda once, lambda(z = -a - a^-1), and hands
 it to the sublink formula and to the specialization identity.  Setting z
@@ -145,8 +149,21 @@ def verify_all(d: Diagram, subject: str = "") -> list[VerificationReport]:
         if key == linked:
             break
         key = (key - linked) & linked
+    # rows[s] is sublink s's sides, for s below 2^(i + 1) once component
+    # i is added: an unlinked component repeats the rows, a linked one
+    # looks up the linked part of each new sublink
+    rows = [sides[0]]
+    for i in range(com):
+        bit = 1 << i
+        if linked & bit:
+            rows += [sides[(s | bit) & linked] for s in range(bit)]
+        else:
+            rows += rows
+    # tuple.__new__ is what the named tuple's _make calls: no Python-level
+    # __new__ per report
+    new = tuple.__new__
     reports += [
-        VerificationReport(subject, f"reversal-writhe[{s:b}]", *sides[s & linked])
-        for s in range(1 << com)
+        new(VerificationReport, (subject, f"reversal-writhe[{s:b}]", lhs, rhs, passed))
+        for s, (lhs, rhs, passed) in enumerate(rows)
     ]
     return reports

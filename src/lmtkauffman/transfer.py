@@ -48,7 +48,8 @@ computes it once for this identity and the sublink formula together.
 It scales that polynomial's terms by -2 as a dict, not by a product.
 
 Every check, here and in ``lmt``, returns a ``VerificationReport``, built
-by this module's ``compare``.
+by this module's ``compare``; ``lmt.verify_all`` builds its 2^com
+reversal-writhe reports the same way, with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ class VerificationReport(NamedTuple):
     polynomial claim and an int for a reversal-writhe claim; they are
     rendered as text only where they are printed, which ``verify`` does
     for a failing report alone.  ``passed`` is always their literal
-    equality, never a tolerance.  A named tuple, so immutable and cheap
-    to build: ``verify`` makes one per sublink, 2^com in all.
+    equality, never a tolerance.  A named tuple, so immutable.  ``verify``
+    makes one per sublink, 2^com in all, so the package builds every
+    report with ``tuple.__new__``, as ``_make`` does, and never calls the
+    class's Python-level ``__new__``.
     """
 
     subject: str
@@ -84,7 +87,7 @@ class VerificationReport(NamedTuple):
 
 def compare(subject: str, claim: str, lhs, rhs) -> VerificationReport:
     """Build a report from two exactly comparable values."""
-    return VerificationReport(subject, claim, lhs, rhs, lhs == rhs)
+    return tuple.__new__(VerificationReport, (subject, claim, lhs, rhs, lhs == rhs))
 
 
 def sum_over_masks(

@@ -13,6 +13,12 @@ from lmtkauffman.corpus import CORPUS, get
 from lmtkauffman.diagram import to_pd_text
 from lmtkauffman.kauffman import lambda_poly
 from lmtkauffman.laurent import LaurentAZ
+from lmtkauffman.lmt import check_reversal_writhe, verify_sublink_formula
+from lmtkauffman.transfer import (
+    VerificationReport,
+    check_skein_identity,
+    check_specialization_identity,
+)
 
 HOPF = "Xr 1 3 4 2\nXr 3 1 2 4\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -260,6 +266,27 @@ def test_verify_corpus_porcelain(capsys):
     assert lines[-1] == "result=pass"
     assert all("=" in l for l in lines)
     assert any(l == "borromean.sublink-formula=pass" for l in lines)
+
+
+def test_verify_prints_one_line_per_check_on_many_components(tmp_path, capsys):
+    # hopf + T(2,4) + 7 free circles: 11 components, 2^11 reversal-writhe
+    # lines, each the text of the check run on its own sublink
+    d = braid_closure([-1, -1, -3, -3, -3, -3], 11)
+    path = write(tmp_path, to_pd_text(d), "split.pd")
+    reports = [verify_sublink_formula(d, subject=path), check_specialization_identity(d, path)]
+    reports += [check_skein_identity(d, ci, subject=path) for ci in range(len(d.crossings))]
+    reports += [
+        VerificationReport(path, f"reversal-writhe[{s:b}]", *check_reversal_writhe(d, 0, s)[2:])
+        for s in range(1 << 11)
+    ]
+    assert all(r.passed for r in reports)
+    code, out, err = run(capsys, "--porcelain", "verify", path)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{path}.{r.claim}=pass\n" for r in reports) + "result=pass\n"
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    lines = "".join(f"PASS {path} {r.claim}\n" for r in reports)
+    assert out == lines + f"# {len(reports)} checks, 0 failures\n"
 
 
 def test_verify_failures_print_both_sides_and_count(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -212,6 +213,66 @@ def test_verify_all_at_the_component_limit():
     claims += [f"reversal-writhe[{s:b}]" for s in range(1 << MAX_VERIFY_COMPONENTS)]
     assert [r.claim for r in reports] == claims
     assert all(r.passed and r.subject == "edge" for r in reports)
+
+
+def _seeded_union(rng, com, first_linked):
+    # a distant union of com components, from pieces that link (Hopf
+    # links, T(2,4)) and pieces that link nothing (a curl, a trefoil, two
+    # circles crossing twice with linking number 0), then free loops;
+    # component numbers follow the pieces, the free loops last
+    linked = [get("hopf_pos").diagram(), get("hopf_neg").diagram(), get("torus_2_4").diagram()]
+    unlinked = [get("unknot_kink_pos").diagram(), get("trefoil_right").diagram()]
+    unlinked.append(braid_closure([1, -1], 2))
+    # an unlinked first piece has one component, so that com = 1 fits
+    pieces = [rng.choice(linked if first_linked else unlinked[:2])]
+    left = com - pieces[0].num_components
+    while left and rng.random() < 0.8:
+        piece = rng.choice(linked + unlinked)
+        if piece.num_components <= left:
+            pieces.append(piece)
+            left -= piece.num_components
+    d = Diagram((), left)
+    for piece in reversed(pieces):
+        d = distant_union(piece, d)
+    assert d.num_components == com
+    return d
+
+
+def test_each_reversal_report_is_its_sublinks_own_check():
+    # verify_all shares one side among the sublinks with the same linked
+    # part; with unlinked components below, between and above the linked
+    # ones, a side given to the wrong sublink shows here
+    rng = random.Random(26)
+    seen = set()
+    for com in range(1, 13):
+        for first_linked in (False, True)[:com]:
+            d = _seeded_union(rng, com, first_linked)
+            linked = 0
+            for u, o, _ in d._sign_table[1]:
+                linked |= 1 << u | 1 << o
+            seen.add("0 linked" if linked & 1 else "0 unlinked")
+            lo, hi = (linked & -linked).bit_length() - 1, linked.bit_length() - 1
+            for i in range(com):
+                if linked and not linked >> i & 1:
+                    seen.add("below" if i < lo else "above" if i > hi else "between")
+            reports = verify_all(d, subject=f"u{com}")
+            assert all(type(r) is VerificationReport for r in reports)
+            got = reports[2 + len(d.crossings) :]
+            want = [
+                VerificationReport(
+                    f"u{com}", f"reversal-writhe[{s:b}]", *check_reversal_writhe(d, 0, s)[2:]
+                )
+                for s in range(1 << com)
+            ]
+            assert got == want
+            for r, w in zip(got, want):
+                assert r._asdict() == w._asdict()
+                flipped = r._replace(passed=False)
+                assert type(flipped) is VerificationReport and flipped == w._replace(passed=False)
+                assert repr(r) == repr(w)
+                back = pickle.loads(pickle.dumps(r))
+                assert type(back) is VerificationReport and back == w
+    assert seen == {"0 linked", "0 unlinked", "below", "between", "above"}
 
 
 def test_verify_all_refuses_more_than_the_component_limit():
