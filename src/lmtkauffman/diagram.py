@@ -30,8 +30,8 @@ The text format accepted by :func:`parse_pd` has an optional first line
 ``loops k`` followed by one crossing per line, ``Xr a b c d`` or
 ``Xl a b c d``.  ``#`` starts a comment.
 
-Input is validated once, where it enters: ``Diagram(...)`` checks edge
-ids and roles and that the records can be drawn in the plane, so every
+Input is validated once, where it enters: ``Diagram(...)`` checks types,
+edge ids and roles and that the records can be drawn in the plane, so every
 diagram is well formed and planar.  Edits that are valid by construction
 (switch, smoothing and braid closures) build trusted diagrams through
 ``_trusted``, which skips the checks.  The skein recursion builds no
@@ -117,8 +117,10 @@ class Diagram:
     def __post_init__(self):
         """Reject records that are malformed or that no planar diagram has.
 
-        The edge checks come first: ids 1..2n, each joining the end where
-        it leaves one crossing to the end where it enters one.  Then two
+        Types come first (tuples of ``Crossing`` records of int edge ids,
+        an int loop count), so every diagram hashes and writes its text.
+        Then the edge checks: ids 1..2n, each joining the end where it
+        leaves one crossing to the end where it enters one.  Then two
         distinct components of a planar diagram cross an even number of
         times, and a signed count has the parity of the plain one.  Last,
         each connected piece of n crossings (n vertices, 2n edges) must
@@ -127,11 +129,15 @@ class Diagram:
         union has an outer face per piece.  No piece has more than n + 2,
         so the total count over all pieces decides.
         """
+        if type(self.crossings) is not tuple or type(self.free_loops) is not int:
+            raise InvalidDiagramError("a diagram needs a tuple of crossings and an int loop count")
         if self.free_loops < 0:
             raise InvalidDiagramError("negative free loop count")
         n = len(self.crossings)
         arrives = [False] * (4 * n)  # per end, as in _mate
         for h, c in enumerate(self.crossings):
+            if type(c) is not Crossing or type(c.edges) is not tuple:
+                raise InvalidDiagramError(f"crossing {h}: not a Crossing with a tuple of edges")
             if c.tag not in ("r", "l"):
                 raise InvalidDiagramError(f"crossing {h}: unknown tag {c.tag!r}")
             if len(c.edges) != 4:
@@ -144,6 +150,8 @@ class Diagram:
         # built once and kept; an edge used twice has its two ends paired
         mate = self._mate
         for x, e in enumerate(ends):
+            if type(e) is not int:
+                raise InvalidDiagramError(f"edge id {e!r} is not an integer")
             if uses[e] != 2:
                 raise InvalidDiagramError(f"edge {e} appears {uses[e]} times, expected 2")
             if arrives[x] == arrives[mate[x]]:
@@ -328,18 +336,17 @@ class Diagram:
         r"""A string that is equal for diagrams differing only by labels.
 
         Each connected piece of the crossing graph is coded on its own as
-        the smallest event stream over its starting ends, and the sorted
-        piece codes follow a ``free_loops,n`` header.  From a given end
-        the walk is forced: each crossing visit emits its role and a
-        first-visit label, the second visit also a handedness bit, and
-        when a strand closes the walk re-enters the lowest-labelled
-        crossing with unused ends, one slot counterclockwise from its
-        first entry.  None of this depends on the reference orientation,
-        so the clasp and its mirror, whose records differ by reversing a
-        strand, share the code.  Every quantity the skein recursion
-        consumes (signs, roles, smoothing reconnections) is a function of
-        the stream, so equal codes mean equal polynomials.  A piece of k
-        crossings costs 4k walks of O(k) steps.
+        the least of its end arrays renumbered from an under-strand end,
+        and the sorted piece codes follow a ``free_loops,n`` header.  The
+        start's crossing comes first, turned half-way round if need be so
+        that the start is slot 0; each other crossing is named in the order
+        the renumbered slots first reach it, turned so that the end that
+        reached it keeps its level (slot 0 or 1).  No relabelling, half-turn
+        or strand reversal changes the set of under-strand ends, so the
+        clasp and its mirror, whose records differ by reversing a strand,
+        share the code.  The skein recursion reads all it needs from the end
+        array, so equal codes mean equal polynomials.  A piece of k
+        crossings costs 2k renumberings of O(k) steps.
 
         >>> hopf = parse_pd("Xr 1 3 4 2\nXr 3 1 2 4\n")
         >>> relabeled = parse_pd("Xr 2 4 1 3\nXr 4 2 3 1\n")
@@ -348,39 +355,29 @@ class Diagram:
         """
         mate = self._mate
 
-        def walk(start: int) -> tuple[list[int], dict[int, int]]:
-            # the event stream from one end, and the labels of the piece;
-            # first holds the crossings visited once, in label order
-            stream: list[int] = []
-            label: dict[int, int] = {}
-            first: dict[int, int] = {}
-            begin = start
-            while True:
-                stream.append(-1)
-                x = begin
-                while True:
-                    h, s = x >> 2, x & 3
-                    stream += (s % 2, label.setdefault(h, len(label)))
-                    f = first.pop(h, None)
-                    if f is None:
-                        first[h] = s
-                    else:
-                        u, o = (s, f) if s % 2 == 0 else (f, s)
-                        stream.append(0 if o == (u + 1) % 4 else 1)
-                    x = mate[x ^ 2]
-                    if x == begin:
-                        break
-                if not first:
-                    return stream, label
-                h, f = next(iter(first.items()))
-                begin = 4 * h + (f + 1) % 4
+        def renumbered(start: int) -> tuple[list[int], list[int]]:
+            # the piece's renumbered end array, and per new crossing the old
+            # end that is its slot 0; old end y is new end label[y >> 2] ^ (y & 3)
+            label = {start >> 2: start & 3}
+            zeros = [start]
+            code = []
+            for z in zeros:
+                for s in range(4):
+                    y = mate[z ^ s]
+                    new = label.get(y >> 2)
+                    if new is None:
+                        new = label[y >> 2] = 4 * len(zeros) + (y & 2)
+                        zeros.append(y & ~1)
+                    code.append(new ^ (y & 3))
+            return code, zeros
 
         pieces = []
-        left = set(range(len(self.crossings)))
-        while left:
-            _, piece = walk(4 * min(left))
-            left.difference_update(piece)
-            pieces.append(min(walk(x)[0] for h in piece for x in range(4 * h, 4 * h + 4)))
+        seen = set()
+        for h in range(len(self.crossings)):
+            if h not in seen:
+                zeros = renumbered(4 * h)[1]
+                seen.update(z >> 2 for z in zeros)
+                pieces.append(min(renumbered(z ^ t)[0] for z in zeros for t in (0, 2)))
         return "|".join(
             [f"{self.free_loops},{len(self.crossings)}"]
             + [",".join(map(str, p)) for p in sorted(pieces)]

@@ -28,11 +28,12 @@ reversing a component that is in no pair of the flat pair table changes
 neither the writhe nor a linking number, so the report for sublink S has
 the sides and verdict of the one for S's linked part, and each linked
 part is checked once, through ``Diagram.writhe`` and
-``Diagram.linking_number``.  The 2^com sides are listed one component at
-a time: an unlinked component doubles the list, a linked one adds one
-lookup per new sublink.  Each report is made by ``tuple.__new__``, as
-the named tuple's ``_make`` does, so no Python-level constructor runs
-2^com times.
+``Diagram.linking_number``.  The 2^com sides are listed in one pass, one
+component at a time: an unlinked component doubles the list; for a
+linked one, each new sublink with an unlinked component looks up its
+linked part, listed before it, and each other one is checked.  Each
+report is made by ``tuple.__new__``, as the named tuple's ``_make`` does,
+so no Python-level constructor runs 2^com times.
 
 ``verify_all`` specializes lambda once, lambda(z = -a - a^-1), and hands
 it to the sublink formula and to the specialization identity.  Setting z
@@ -137,26 +138,23 @@ def verify_all(d: Diagram, subject: str = "") -> list[VerificationReport]:
     reports += [
         check_skein_identity(d, ci, subject=subject, g=g) for ci in range(len(d.crossings))
     ]
-    # the report for sublink s has the sides of the one for its linked
-    # part s & linked, each submask of linked checked once, in order
+    # rows[s] is sublink s's sides, for s below 2^(i + 1) once component
+    # i is added: an unlinked component repeats the rows; a new sublink
+    # with an unlinked component looks up its linked part s & linked,
+    # listed before it, and each submask of linked is checked once
     linked = 0
     for u, o, _ in d._sign_table[1]:
         linked |= 1 << u | 1 << o
-    sides = {}
-    key = 0
-    while True:
-        sides[key] = check_reversal_writhe(d, 0, key, writhe=w)[2:]
-        if key == linked:
-            break
-        key = (key - linked) & linked
-    # rows[s] is sublink s's sides, for s below 2^(i + 1) once component
-    # i is added: an unlinked component repeats the rows, a linked one
-    # looks up the linked part of each new sublink
-    rows = [sides[0]]
+    rows = [check_reversal_writhe(d, 0, 0, writhe=w)[2:]]
     for i in range(com):
         bit = 1 << i
         if linked & bit:
-            rows += [sides[(s | bit) & linked] for s in range(bit)]
+            for s in range(bit, 2 * bit):
+                rows.append(
+                    rows[s & linked]
+                    if s & ~linked
+                    else check_reversal_writhe(d, 0, s, writhe=w)[2:]
+                )
         else:
             rows += rows
     # tuple.__new__ is what the named tuple's _make calls: no Python-level

@@ -127,6 +127,28 @@ def test_constructor_refusals_and_their_order():
     )
 
 
+def test_constructor_refuses_wrong_types():
+    # values that compare equal to good ones but are not ints, and
+    # containers that are not the record types, are refused where they
+    # enter; what is accepted hashes and writes text that parses back
+    kink = Crossing((1, 1, 2, 2), "r")
+    for crossings, loops in [
+        ((), 1.5),
+        ((), True),
+        ((kink,), 1.0),
+        ((Crossing((1, 1, 2.0, 2), "r"),), 0),
+        ((Crossing((True, 1, 2, 2), "r"),), 0),
+        ([kink], 0),
+        ((Crossing([1, 1, 2, 2], "r"),), 0),
+        ((((1, 1, 2, 2), "r"),), 0),
+    ]:
+        with pytest.raises(InvalidDiagramError):
+            Diagram(crossings, loops)
+    for d in (Diagram((), 2), Diagram((kink,)), Diagram((kink, Crossing((3, 4, 4, 3), "l")), 1)):
+        hash(d)
+        assert parse_pd(to_pd_text(d)) == d
+
+
 def test_planarity_is_checked_once_per_diagram(monkeypatch, tmp_path, capsys):
     # the constructor that parse_pd calls traces the faces, and no verb
     # traces them again
@@ -605,3 +627,52 @@ def test_trusted_constructions_match_validated_ones(monkeypatch):
             _audit_node(r)
             # checked everywhere, a reduced node has nothing left to strip
             assert inner(r, {}, range(len(r[0]) // 4)) == (0, 0, r)
+
+
+def _same_end_arrays(d1, d2):
+    # the definition the code must decide: some naming of the crossings,
+    # each turned half-way round or not, carries one end array onto the
+    # other; brute force, for a few crossings only
+    m1, m2 = d1._mate, d2._mate
+    n = len(d1.crossings)
+    if len(d2.crossings) != n:
+        return False
+    for name in itertools.permutations(range(n)):
+        for turn in itertools.product((0, 2), repeat=n):
+
+            def moved(x):
+                return 4 * name[x >> 2] + ((x & 3) ^ turn[x >> 2])
+
+            if all(m2[moved(x)] == moved(y) for x, y in enumerate(m1)):
+                return True
+    return False
+
+
+def test_canonical_code_decides_end_array_isomorphism():
+    # two codes are equal exactly when the loop counts match and the end
+    # arrays are the same up to names and half-turns, over small closures,
+    # their mirrors, switches and smoothings, the two clasps and a union
+    # of opposite curls
+    rng = random.Random(27)
+    family = [
+        parse_pd(HOPF_POS),
+        braid_closure([1, 1], 2),
+        distant_union(parse_pd(KINK_POS), parse_pd(KINK_NEG)),
+    ]
+    for _ in range(25):
+        d = random_closure(rng, 4)
+        family += [d, mirror(d)]
+        for ci in range(len(d.crossings)):
+            family += [d.switch(ci), d.smooth(ci, "A"), d.smooth(ci, "B")]
+    codes = [d.canonical_code() for d in family]
+    same = apart = 0
+    for (d1, c1), (d2, c2) in itertools.combinations(zip(family, codes), 2):
+        if d1.free_loops != d2.free_loops or len(d1.crossings) != len(d2.crossings):
+            assert c1 != c2
+            continue
+        iso = _same_end_arrays(d1, d2)
+        assert (c1 == c2) == iso, (d1, d2)
+        if d1.crossings != d2.crossings:
+            same += iso
+            apart += not iso
+    assert same > 200 and apart > 2000
