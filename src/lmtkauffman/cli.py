@@ -18,8 +18,8 @@ from typing import Iterator
 from . import corpus
 from .braid import random_closure
 from .diagram import Diagram, DiagramError, InternalInvariantError, parse_pd
-from .kauffman import lambda_poly
-from .laurent import LaurentAZ, SpecializationError
+from .kauffman import _a_shifted, lambda_poly
+from .laurent import SpecializationError
 from .lmt import lmt_rhs, verify_all
 from .transfer import g_tau
 
@@ -85,7 +85,7 @@ def cmd_compute(args) -> int:
     if args.oriented:
         # f_oriented from the lambda above, so the skein recursion runs once
         w = d.writhe(mask)
-        f = LaurentAZ.monomial(1, -w) * lam
+        f = _a_shifted(lam, -w)
         lines += [f"writhe={w}", f"f={f}"]
     if args.specialize:
         if args.oriented:

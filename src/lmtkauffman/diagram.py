@@ -31,17 +31,17 @@ The text format accepted by :func:`parse_pd` has an optional first line
 ``Xl a b c d``.  ``#`` starts a comment.
 
 Input is validated once, where it enters: ``Diagram(...)`` checks types,
-edge ids and roles and that the records can be drawn in the plane, so every
-diagram is well formed and planar.  Edits that are valid by construction
-(switch, smoothing and braid closures) build trusted diagrams through
-``_trusted``, which skips the checks.  The skein recursion builds no
-diagram: it works on end arrays and strands (a ``Node``), with
-``_switched`` and ``_renumber``, which walks and renumbers in one pass.
+edge ids (counted in a list) and roles, and that each piece can be drawn in
+the plane, so every diagram is well formed and planar.  Edits that are
+valid by construction (switch, smoothing and braid closures) build trusted
+diagrams through ``_trusted``, which skips the checks.  The skein
+recursion builds no diagram: it works on end arrays and strands (a
+``Node``), with ``_switched`` and ``_renumber``, which walks and renumbers
+in one pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -119,15 +119,15 @@ class Diagram:
 
         Types come first (tuples of ``Crossing`` records of int edge ids,
         an int loop count), so every diagram hashes and writes its text.
-        Then the edge checks: ids 1..2n, each joining the end where it
-        leaves one crossing to the end where it enters one.  Then two
-        distinct components of a planar diagram cross an even number of
-        times, and a signed count has the parity of the plain one.  Last,
-        each connected piece of n crossings (n vertices, 2n edges) must
-        have n + 2 faces, as V - E + F = 2; on a surface of genus g it has
-        2g fewer.  :func:`faces` traces each piece on its own, so a split
-        union has an outer face per piece.  No piece has more than n + 2,
-        so the total count over all pieces decides.
+        Then the edge ids, counted in a list: 1..2n, each joining the end
+        where it leaves one crossing to the end where it enters one.  Then
+        two distinct components of a planar diagram cross an even number
+        of times, and a signed count has the parity of the plain one.
+        Last, each connected piece of n crossings (n vertices, 2n edges)
+        must have n + 2 faces, as V - E + F = 2, and 2g fewer on a surface
+        of genus g.  The pieces are the classes of components joined by
+        crossings; :func:`faces` traces each on its own, and none has more
+        than n + 2, so the total count decides.
         """
         if type(self.crossings) is not tuple or type(self.free_loops) is not int:
             raise InvalidDiagramError("a diagram needs a tuple of crossings and an int loop count")
@@ -144,14 +144,16 @@ class Diagram:
                 raise InvalidDiagramError(f"crossing {h}: needs exactly 4 edges")
             arrives[4 * h] = arrives[4 * h + _OVER_ENTRY[c.tag]] = True
         ends = [e for c in self.crossings for e in c.edges]
-        uses = Counter(ends)
-        if uses.keys() != set(range(1, 2 * n + 1)):
+        uses = [0] * (2 * n + 2)  # per id; the last counts ids out of range
+        for e in ends:
+            if type(e) is not int:
+                raise InvalidDiagramError(f"edge id {e!r} is not an integer")
+            uses[e if 0 < e <= 2 * n else -1] += 1
+        if uses[-1] or 0 in uses[1:-1]:
             raise InvalidDiagramError("edge ids must be exactly 1..2n")
         # built once and kept; an edge used twice has its two ends paired
         mate = self._mate
         for x, e in enumerate(ends):
-            if type(e) is not int:
-                raise InvalidDiagramError(f"edge id {e!r} is not an integer")
             if uses[e] != 2:
                 raise InvalidDiagramError(f"edge {e} appears {uses[e]} times, expected 2")
             if arrives[x] == arrives[mate[x]]:
@@ -165,20 +167,17 @@ class Diagram:
                     f"components {u} and {o} cross an odd number of times ({k}), "
                     "which no planar diagram allows"
                 )
-        piece = list(range(n))
-
-        def root(i: int) -> int:
-            while piece[i] != i:
-                piece[i] = piece[piece[i]]
-                i = piece[i]
-            return i
-
+        root = list(range(len(self._strands)))
+        pieces = len(root)
+        for u, o in self._crossing_comps:
+            while root[u] != u:
+                u = root[u]
+            while root[o] != o:
+                o = root[o]
+            if u != o:
+                root[u] = o
+                pieces -= 1
         fs = faces(self)
-        for f in fs:
-            r = root(f[0] >> 2)
-            for x in f:
-                piece[root(x >> 2)] = r
-        pieces = sum(1 for i in range(n) if piece[i] == i)
         if len(fs) != n + 2 * pieces:
             raise InvalidDiagramError(
                 f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
@@ -194,15 +193,14 @@ class Diagram:
         # an edge arriving at x leaves through x ^ 2 and the next one
         # arrives at mate[x ^ 2]
         mate = self._mate
-        arrival = {}
+        arrival = [0] * (2 * len(self.crossings) + 1)  # per edge id
         for h, c in enumerate(self.crossings):
             o = _OVER_ENTRY[c.tag]
             arrival[c.edges[0]] = 4 * h
             arrival[c.edges[o]] = 4 * h + o
         seen = [False] * len(mate)
         strands = []
-        for e in range(1, 2 * len(self.crossings) + 1):
-            x = arrival[e]
+        for x in arrival[1:]:
             if seen[x]:
                 continue
             cyc = []
@@ -232,10 +230,10 @@ class Diagram:
         # the end array: end (crossing h, slot s) is 4h + s, and entry x
         # is the end that x's edge runs to
         mate = [0] * (4 * len(self.crossings))
-        first: dict[int, int] = {}
-        for x, e in enumerate(e for c in self.crossings for e in c.edges):
-            y = first.pop(e, None)
-            if y is None:
+        first = [-1] * (len(mate) // 2 + 1)  # per edge id
+        for x, e in enumerate([e for c in self.crossings for e in c.edges]):
+            y = first[e]
+            if y < 0:
                 first[e] = x
             else:
                 mate[x] = y
@@ -385,11 +383,7 @@ class Diagram:
 
 
 def _trusted(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
-    """A Diagram of records that are valid by construction, left unchecked.
-
-    Its end structure is derived from the records on demand, as for any
-    diagram.
-    """
+    """A Diagram of records that are valid by construction, left unchecked."""
     d = object.__new__(Diagram)
     d.__dict__.update(crossings=crossings, free_loops=free_loops)
     return d
@@ -555,13 +549,13 @@ def parse_pd(text: str) -> Diagram:
     diagram has is rejected, see :class:`Diagram`.
     """
     loops = 0
-    records: list[Crossing] = []
+    tags = []
+    ids: list[int] = []  # four per record
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
         if toks[0] == "loops":
             if not header_allowed:
                 raise PDSyntaxError("loops header must be the first record", lineno)
@@ -580,22 +574,23 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError(f"unknown record {toks[0]!r}", lineno)
         if len(toks) != 5:
             raise PDSyntaxError("crossing record needs 4 edge ids", lineno)
+        _, a, b, c, e = toks
         try:
-            edges = tuple(int(t) for t in toks[1:])
+            edges = int(a), int(b), int(c), int(e)
         except ValueError:
             raise PDSyntaxError("edge ids must be integers", lineno) from None
-        if any(e <= 0 for e in edges):
+        if min(edges) <= 0:
             raise PDSyntaxError("edge ids must be positive", lineno)
-        if not all(t.isascii() and t.isdigit() for t in toks[1:]):
+        digits = a + b + c + e
+        if not (digits.isascii() and digits.isdigit()):
             # int() also reads signs, underscores and non-ASCII digits
             raise PDSyntaxError("edge ids must be integers", lineno)
-        records.append(Crossing(edges, toks[0][1]))
-    ids = sorted({e for c in records for e in c.edges})
-    remap = {e: i for i, e in enumerate(ids, start=1)}
-    normalized = tuple(
-        Crossing(tuple(remap[e] for e in c.edges), c.tag) for c in records
-    )
-    return Diagram(normalized, loops)
+        ids += edges
+        tags.append(toks[0][1])
+    it = map(dict(zip(sorted(set(ids)), range(1, len(ids) + 1))).__getitem__, ids)
+    # each record made as Crossing._make does
+    records = [tuple.__new__(Crossing, r) for r in zip(zip(it, it, it, it), tags)]
+    return Diagram(tuple(records), loops)
 
 
 def to_pd_text(d: Diagram) -> str:

@@ -197,10 +197,11 @@ def _child(node, pairings, check, memo, loops=0) -> LaurentAZ:
     val = _lambda(r, memo)
     if loops:
         return _a_delta(k, loops) * val
-    if not k:
-        return val
-    # a^k alone shifts the a exponents
-    return LaurentAZ._from_pairs({(a + k, z): c for (a, z), c in val._terms.items()})
+    return _a_shifted(val, k) if k else val
+
+
+def _a_shifted(p: LaurentAZ, k: int) -> LaurentAZ:
+    return LaurentAZ._from_pairs({(a + k, z): c for (a, z), c in p._terms.items()})
 
 
 def _lambda(node, memo) -> LaurentAZ:
@@ -228,7 +229,7 @@ def _lambda(node, memo) -> LaurentAZ:
 
 def f_oriented(d: Diagram, mask: int = 0) -> LaurentAZ:
     """The curl-stable polynomial a^(-writhe) * lambda under mask."""
-    return LaurentAZ.monomial(1, -d.writhe(mask)) * lambda_poly(d)
+    return _a_shifted(lambda_poly(d), -d.writhe(mask))
 
 
 def specialized_f(d: Diagram, mask: int = 0) -> LaurentA:
