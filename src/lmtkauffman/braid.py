@@ -23,32 +23,37 @@ def braid_closure(word: Sequence[int], strands: int) -> Diagram:
     """
     if strands < 1:
         raise ValueError("a braid needs at least one strand")
-    for letter in word:
-        if not 0 < abs(letter) < strands:
-            raise ValueError(f"letter {letter} does not fit {strands} strands")
     cur = list(range(1, strands + 1))
-    next_id = strands + 1
-    raw: list[tuple[str, tuple[int, int, int, int]]] = []
+    ids: list[int] = []  # four raw ids per letter
     for letter in word:
         i = abs(letter)
-        a, b = cur[i - 1], cur[i]
-        c, d = next_id, next_id + 1
-        next_id += 2
-        if letter > 0:
-            raw.append(("l", (b, a, c, d)))
-        else:
-            raw.append(("r", (a, c, d, b)))
-        cur[i - 1], cur[i] = c, d
-    # the closure joins the last edge at each position to its first, edge
-    # p + 1; a position no letter touches keeps edge p + 1 and is a loop
-    joined = {cur[p]: p + 1 for p in range(strands)}
-    merged = [(tag, tuple(joined.get(e, e) for e in edges)) for tag, edges in raw]
-    used = {e for _, edges in merged for e in edges}
-    loops = sum(cur[p] == p + 1 for p in range(strands))
-    remap = {e: i for i, e in enumerate(sorted(used), start=1)}
-    records = tuple(
-        Crossing(tuple(remap[e] for e in edges), tag) for tag, edges in merged
-    )
+        if not 0 < i < strands:
+            raise ValueError(f"letter {letter} does not fit {strands} strands")
+        c = len(ids) // 2 + strands + 1
+        ids += (cur[i], cur[i - 1], c, c + 1) if letter > 0 else (cur[i - 1], c, c + 1, cur[i])
+        cur[i - 1] = c
+        cur[i] = c + 1
+    # the closure joins the last edge at position p (from 1) to the first,
+    # edge p, and the edges left are renumbered in order; a position no
+    # letter touches keeps edge p and is a loop
+    close = [0] * (len(ids) // 2 + strands + 1)  # per raw id, its new id
+    for p, e in enumerate(cur, 1):
+        close[e] = -p
+    k = 0
+    for e in range(1, len(close)):
+        p = -close[e]
+        if not p:
+            k += 1
+            close[e] = k
+        elif p != e:
+            close[e] = close[p]
+    loops = sum(e == p for p, e in enumerate(cur, 1))
+    it = map(close.__getitem__, ids)
+    # each record made as Crossing._make does
+    records = tuple([
+        tuple.__new__(Crossing, r)
+        for r in zip(zip(it, it, it, it), ["l" if w > 0 else "r" for w in word])
+    ])
     return _trusted(records, loops)
 
 

@@ -130,7 +130,10 @@ def _verify_targets(args) -> Iterator[tuple[str, Diagram]]:
             raise DiagramError("--max-crossings needs K >= 1")
         if k > MAX_RANDOM_CROSSINGS:
             raise DiagramError(f"--max-crossings needs K <= {MAX_RANDOM_CROSSINGS}")
-        rng = random.Random(args.seed or 0)
+        seed = args.seed or 0
+        if seed < 0:  # random.Random would seed from |S|
+            raise DiagramError("--seed needs S >= 0")
+        rng = random.Random(seed)
         for i in range(args.random):
             yield f"random[{i}]", random_closure(rng, k)
     else:

@@ -14,14 +14,15 @@ their smallest edge id, with crossing-free loops last.  Orientation
 masks and sublink masks are plain ints whose bit i addresses component
 i.
 
-A diagram keeps one end structure.  End 4h + s is slot s of crossing
-h; ``_mate`` pairs each end with the end its edge runs to, and
-``_strands`` lists, per component, the ends its edges arrive at in
-traversal order.  Components, the strands at each crossing and the
-traversal order are all read from these two.
+A diagram keeps one end structure, derived from the records in one pass
+when it is made.  End 4h + s is slot s of crossing h; ``_mate`` pairs
+each end with the end its edge runs to, and ``_strands`` lists, per
+component, the ends its edges arrive at in traversal order.
+Components, the strands at each crossing and the traversal order are
+all read from these two.
 
-Orientation data is read from one flat pair table, built once per
-diagram: the self-writhe, plus one ``(u, o, C)`` for each pair of
+Orientation data is read from one flat pair table, built in that pass:
+the self-writhe, plus one ``(u, o, C)`` for each pair of
 components whose signed crossing count C is not zero.  ``writhe``,
 ``linking_number`` and ``pair_signs`` under any mask loop over it, so
 their cost follows the number of linked pairs, not the crossings.
@@ -43,7 +44,6 @@ in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -107,8 +107,8 @@ class Diagram:
     """An unoriented framed link diagram.
 
     Immutable; all editing operations return new diagrams.  The end
-    structure (``_mate``, ``_strands``) and what is derived from it is
-    computed from the records once, on demand.
+    structure (``_mate``, ``_strands``), the sign table and the components
+    at each crossing are derived in one pass when it is made.
     """
 
     crossings: tuple[Crossing, ...]
@@ -126,7 +126,7 @@ class Diagram:
         Last, each connected piece of n crossings (n vertices, 2n edges)
         must have n + 2 faces, as V - E + F = 2, and 2g fewer on a surface
         of genus g.  The pieces are the classes of components joined by
-        crossings; :func:`faces` traces each on its own, and none has more
+        crossings; ``_face_count`` traces each on its own, and none has more
         than n + 2, so the total count decides.
         """
         if type(self.crossings) is not tuple or type(self.free_loops) is not int:
@@ -151,7 +151,7 @@ class Diagram:
             uses[e if 0 < e <= 2 * n else -1] += 1
         if uses[-1] or 0 in uses[1:-1]:
             raise InvalidDiagramError("edge ids must be exactly 1..2n")
-        # built once and kept; an edge used twice has its two ends paired
+        self._derive(ends)  # an edge used twice has its two ends paired
         mate = self._mate
         for x, e in enumerate(ends):
             if uses[e] != 2:
@@ -177,68 +177,55 @@ class Diagram:
             if u != o:
                 root[u] = o
                 pieces -= 1
-        fs = faces(self)
-        if len(fs) != n + 2 * pieces:
+        f = _face_count(self)
+        if f != n + 2 * pieces:
             raise InvalidDiagramError(
-                f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
+                f"{n} crossings in {pieces} connected piece(s) have {f} faces, "
                 f"not {n + 2 * pieces}, so they cannot be drawn in the plane"
             )
 
-    # -- derived structure ------------------------------------------------
-
-    @cached_property
-    def _strands(self) -> tuple[tuple[int, ...], ...]:
-        # per component, the cycle of ends (4h + s, as in _mate) that its
-        # edges arrive at, from the end where its smallest edge arrives;
-        # an edge arriving at x leaves through x ^ 2 and the next one
-        # arrives at mate[x ^ 2]
-        mate = self._mate
-        arrival = [0] * (2 * len(self.crossings) + 1)  # per edge id
-        for h, c in enumerate(self.crossings):
-            o = _OVER_ENTRY[c.tag]
-            arrival[c.edges[0]] = 4 * h
-            arrival[c.edges[o]] = 4 * h + o
-        seen = [False] * len(mate)
-        strands = []
-        for x in arrival[1:]:
-            if seen[x]:
-                continue
-            cyc = []
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = mate[x ^ 2]
-            strands.append(tuple(cyc))
-        return tuple(strands)
-
-    @property
-    def num_components(self) -> int:
-        return len(self._strands) + self.free_loops
-
-    @cached_property
-    def _crossing_comps(self) -> tuple[tuple[int, int], ...]:
-        # (component of under-strand, component of over-strand) per
-        # crossing: the under-strand holds the even slots, the over the odd
-        comp = [0] * (4 * len(self.crossings))
-        for k, cyc in enumerate(self._strands):
-            for x in cyc:
-                comp[x] = comp[x ^ 2] = k
-        return tuple(zip(comp[0::4], comp[1::4]))
-
-    @cached_property
-    def _mate(self) -> tuple[int, ...]:
-        # the end array: end (crossing h, slot s) is 4h + s, and entry x
-        # is the end that x's edge runs to
-        mate = [0] * (4 * len(self.crossings))
-        first = [-1] * (len(mate) // 2 + 1)  # per edge id
-        for x, e in enumerate([e for c in self.crossings for e in c.edges]):
+    def _derive(self, ends: list[int]) -> None:
+        # ends holds the records' edge ids in order.  A strand arriving at
+        # x leaves through x ^ 2 and next arrives at mate[x ^ 2]; each is
+        # walked from where its smallest edge arrives.  comp, the component
+        # at each end, marks the walk; slots 0 and 1 are under and over.
+        n = len(self.crossings)
+        mate = [0] * (4 * n)
+        first = [-1] * (2 * n + 1)  # per edge id
+        for x, e in enumerate(ends):
             y = first[e]
             if y < 0:
                 first[e] = x
             else:
                 mate[x] = y
                 mate[y] = x
-        return tuple(mate)
+        arrival = [0] * (2 * n + 1)  # per edge id
+        for h, c in enumerate(self.crossings):
+            x = 4 * h + _OVER_ENTRY[c.tag]
+            arrival[ends[4 * h]] = 4 * h
+            arrival[ends[x]] = x
+        comp = [-1] * (4 * n)
+        strands = []
+        for x in arrival[1:]:
+            if comp[x] >= 0:
+                continue
+            k = len(strands)
+            cyc = []
+            while comp[x] < 0:
+                comp[x] = comp[x ^ 2] = k
+                cyc.append(x)
+                x = mate[x ^ 2]
+            strands.append(tuple(cyc))
+        self.__dict__.update(
+            _mate=tuple(mate),
+            _strands=tuple(strands),
+            _sign_table=_sign_table_of(strands, 4 * n),
+            _crossing_comps=tuple(zip(comp[0::4], comp[1::4])),
+        )
+
+    @property
+    def num_components(self) -> int:
+        return len(self._strands) + self.free_loops
 
     # -- orientation data -------------------------------------------------
 
@@ -248,10 +235,6 @@ class Diagram:
         com = self.num_components
         if mask >> com:
             raise InvalidDiagramError(f"{what} {mask:#b} addresses more than {com} components")
-
-    @cached_property
-    def _sign_table(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        return _sign_table_of(self._strands, len(self._mate))
 
     def pair_signs(self, mask: OrientationMask = 0) -> dict[tuple[int, int], int]:
         """C[u, o] * e_u * e_o for each pair u < o of components with C != 0.
@@ -386,6 +369,7 @@ def _trusted(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
     """A Diagram of records that are valid by construction, left unchecked."""
     d = object.__new__(Diagram)
     d.__dict__.update(crossings=crossings, free_loops=free_loops)
+    d._derive([e for c in crossings for e in c.edges])
     return d
 
 
@@ -400,12 +384,13 @@ def _sign_table_of(strands: Iterable[Sequence[int]], ends: int) -> tuple[int, tu
     for k, cyc in enumerate(strands):
         for x in cyc:
             comp[x] = k
+    r, l = TAG_SIGN["r"], TAG_SIGN["l"]
     self_w = 0
     between: dict[tuple[int, int], int] = {}
     for b in range(0, ends, 4):
         over = b + 1 if comp[b + 1] >= 0 else b + 3
         u, o = comp[b], comp[over]
-        sign = TAG_SIGN["r" if over & 2 else "l"]
+        sign = r if over & 2 else l
         if u == o:
             self_w += sign
         else:
@@ -436,27 +421,21 @@ def _unplug(mate: list[int], h: int, pairing: Sequence[int]) -> int:
     return loops
 
 
-def faces(d: Diagram) -> list[tuple[int, ...]]:
-    """Faces of the diagram as cycles of arrival ends.
-
-    An arrival end is the end 4h + s (slot s of crossing h) an edge runs
-    into; turning right there, the next boundary edge of the same face is
-    the one arriving from slot s - 1.
-    """
+def _face_count(d: Diagram) -> int:
+    # faces are cycles of arrival ends: turning right at end 4h + s, the
+    # next edge of the face is the one arriving from slot s - 1
     mate = d._mate
     seen = [False] * len(mate)
-    out = []
+    count = 0
     for start in range(len(mate)):
         if seen[start]:
             continue
-        face = []
+        count += 1
         x = start
         while not seen[x]:
             seen[x] = True
-            face.append(x)
             x = mate[x - 1 if x & 3 else x + 3]
-        out.append(tuple(face))
-    return out
+    return count
 
 
 # A diagram as the skein recursion holds it: an end array over crossings

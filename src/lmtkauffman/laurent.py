@@ -72,6 +72,13 @@ class LaurentAZ:
         LaurentAZ.__init__(p, terms)
         return p
 
+    @classmethod
+    def _of(cls, terms: dict) -> "LaurentAZ":
+        """``_from_pairs`` over terms with no zero, taken as they are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 

@@ -37,10 +37,11 @@ smoothing joins it to, with its signs read from the slots where its
 strands arrive: nothing is copied or rewired, and nothing is taken from
 the diagram's strands or sign table, so a fault in those fails the
 check instead of passing into both sides.  The sums stay plain dicts:
-the left side adds the diagram's terms, read in place, to the switch's,
-the right side the two smoothings', the factor -a - a^-1 as two
-exponent shifts, and each side becomes a ``LaurentA`` once, for the
-report.
+the left side copies the diagram's terms and adds the switch's, at a
+self-crossing the same terms shifted; the right side adds the two
+smoothings', the factor -a - a^-1 as two exponent shifts, and a
+smoothing with no linked pair sums to (-2)^com * a^self-writhe at once.
+The sides are compared as dicts, then each becomes a ``LaurentA``.
 
 ``check_specialization_identity`` takes the specialized polynomial
 lambda(z = -a - a^-1) from its caller when it has one: ``lmt.verify_all``
@@ -192,26 +193,6 @@ def g_tau(d: Diagram) -> LaurentA:
     return LaurentA(_orientation_terms(d.num_components, *d._sign_table))
 
 
-def _switched_sum(d: Diagram, ci: int, g: dict[tuple, int]) -> dict[tuple, int]:
-    # g_tau(d.switch(ci)) keyed (a_exp, 0), g being g_tau(d)'s terms: the
-    # same components, crossing ci's sign changed, which at a self-crossing
-    # shifts every writhe alike
-    tag = d.crossings[ci].tag
-    shift = TAG_SIGN["l" if tag == "r" else "r"] - TAG_SIGN[tag]
-    u, o = d._crossing_comps[ci]
-    if u == o:
-        return {(e + shift, 0): k for (e, _), k in g.items()}
-    if u > o:
-        u, o = o, u
-    self_w, pairs = d._sign_table
-    between = {(p, q): k for p, q, k in pairs}
-    between[u, o] = between.get((u, o), 0) + shift
-    terms = _orientation_terms(
-        d.num_components, self_w, [(*p, k) for p, k in between.items() if k]
-    )
-    return {(e, 0): k for e, k in terms.items()}
-
-
 def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
     # g_tau(d.smooth(ci, which)), from a fresh walk of d's end array in
     # which a strand reaching ci's slot s goes on from slot pairing[s].
@@ -237,6 +218,7 @@ def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
                 x = mate[b + pairing[x & 3]]
                 hops += 1
         com += 1
+    r, l = TAG_SIGN["r"], TAG_SIGN["l"]
     self_w = 0
     between: dict[tuple[int, int], int] = {}
     for h in range(0, len(mate), 4):
@@ -245,7 +227,7 @@ def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
         under = h if comp[h] >= 0 else h + 2
         over = h + 1 if comp[h + 1] >= 0 else h + 3
         u, o = comp[under], comp[over]
-        sign = TAG_SIGN["r" if (over - under) % 4 == 3 else "l"]
+        sign = r if (over - under) % 4 == 3 else l
         if u == o:
             self_w += sign
         else:
@@ -256,7 +238,10 @@ def _smoothed_sum(d: Diagram, ci: int, which: str) -> dict[int, int]:
     # component, whose two edges close one loop, or two where they join
     # the slots the pairing joins
     com += d.free_loops + (2 - hops if hops else 1 + (mate[b] == b + pairing[0]))
-    return _orientation_terms(com, self_w, [(*p, c) for p, c in between.items() if c])
+    pairs = [(*p, c) for p, c in between.items() if c]
+    if pairs or com > MAX_SUM_COMPONENTS:  # where _orientation_terms refuses
+        return _orientation_terms(com, self_w, pairs)
+    return {self_w: (-2) ** com}
 
 
 def check_skein_identity(
@@ -270,19 +255,33 @@ def check_skein_identity(
     if not 0 <= ci < len(d.crossings):
         raise InvalidDiagramError(f"crossing not found: {ci}")
     terms = (g_tau(d) if g is None else g)._terms
-    lhs = _switched_sum(d, ci, terms)
-    for k, c in terms.items():
-        lhs[k] = lhs.get(k, 0) + c
+    # the switch has d's components with crossing ci's sign changed, which
+    # at a self-crossing shifts every writhe alike
+    tag = d.crossings[ci].tag
+    shift = TAG_SIGN["l" if tag == "r" else "r"] - TAG_SIGN[tag]
+    u, o = d._crossing_comps[ci]
+    lhs = dict(terms)
+    if u == o:
+        for (e, _), c in terms.items():
+            lhs[e + shift, 0] = lhs.get((e + shift, 0), 0) + c
+    else:
+        self_w, pairs = d._sign_table
+        between = {(p, q): k for p, q, k in pairs}
+        key = (u, o) if u < o else (o, u)
+        between[key] = between.get(key, 0) + shift
+        pairs = [(*p, k) for p, k in between.items() if k]
+        for e, c in _orientation_terms(d.num_components, self_w, pairs).items():
+            lhs[e, 0] = lhs.get((e, 0), 0) + c
     rhs: dict[int, int] = {}
     for which in "AB":
         for e, c in _smoothed_sum(d, ci, which).items():
             rhs[e + 1] = rhs.get(e + 1, 0) - c
             rhs[e - 1] = rhs.get(e - 1, 0) - c
-    return compare(
-        subject,
-        f"orientation-sum-skein[{ci}]",
-        LaurentA._from_pairs(lhs),
-        LaurentA._from_pairs({(e, 0): c for e, c in rhs.items()}),
+    # every term of lhs has the sign (-1)^com, so only rhs can hold a zero
+    rhs = {(e, 0): c for e, c in rhs.items() if c}
+    return tuple.__new__(
+        VerificationReport,
+        (subject, f"orientation-sum-skein[{ci}]", LaurentA._of(lhs), LaurentA._of(rhs), lhs == rhs),
     )
 
 

@@ -8,6 +8,12 @@ union-find over every face end.  They return records and a loop count,
 or raise what the package raised, so the package's boundary can be
 compared with them on any text.  Only the record and error types and
 ``_sign_table_of`` are shared with the package.
+
+``end_structure`` keeps the derivations a diagram once made separately,
+each on first use: the end array, the strands, the sign table and the
+components at each crossing.  ``braid_closure`` keeps the closure that
+joined edges through a dict and a set and made each record from a
+generator.
 """
 
 from collections import Counter
@@ -174,3 +180,71 @@ def check(crossings, free_loops=0):
             f"{n} crossings in {pieces} connected piece(s) have {len(fs)} faces, "
             f"not {n + 2 * pieces}, so they cannot be drawn in the plane"
         )
+
+
+def end_structure(crossings):
+    """(mate, strands, sign table, crossing comps) of well-formed records."""
+    mate = [0] * (4 * len(crossings))
+    first = [-1] * (len(mate) // 2 + 1)  # per edge id
+    for x, e in enumerate([e for c in crossings for e in c.edges]):
+        y = first[e]
+        if y < 0:
+            first[e] = x
+        else:
+            mate[x] = y
+            mate[y] = x
+    arrival = [0] * (2 * len(crossings) + 1)  # per edge id
+    for h, c in enumerate(crossings):
+        o = _OVER_ENTRY[c.tag]
+        arrival[c.edges[0]] = 4 * h
+        arrival[c.edges[o]] = 4 * h + o
+    seen = [False] * len(mate)
+    strands = []
+    for x in arrival[1:]:
+        if seen[x]:
+            continue
+        cyc = []
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = mate[x ^ 2]
+        strands.append(tuple(cyc))
+    comp = [0] * (4 * len(crossings))
+    for k, cyc in enumerate(strands):
+        for x in cyc:
+            comp[x] = comp[x ^ 2] = k
+    return (
+        tuple(mate),
+        tuple(strands),
+        _sign_table_of(strands, len(mate)),
+        tuple(zip(comp[0::4], comp[1::4])),
+    )
+
+
+def braid_closure(word, strands):
+    """(records, loops) of the closure of a braid word, or its ValueError."""
+    if strands < 1:
+        raise ValueError("a braid needs at least one strand")
+    for letter in word:
+        if not 0 < abs(letter) < strands:
+            raise ValueError(f"letter {letter} does not fit {strands} strands")
+    cur = list(range(1, strands + 1))
+    next_id = strands + 1
+    raw = []
+    for letter in word:
+        i = abs(letter)
+        a, b = cur[i - 1], cur[i]
+        c, d = next_id, next_id + 1
+        next_id += 2
+        if letter > 0:
+            raw.append(("l", (b, a, c, d)))
+        else:
+            raw.append(("r", (a, c, d, b)))
+        cur[i - 1], cur[i] = c, d
+    joined = {cur[p]: p + 1 for p in range(strands)}
+    merged = [(tag, tuple(joined.get(e, e) for e in edges)) for tag, edges in raw]
+    used = {e for _, edges in merged for e in edges}
+    loops = sum(cur[p] == p + 1 for p in range(strands))
+    remap = {e: i for i, e in enumerate(sorted(used), start=1)}
+    records = tuple(Crossing(tuple(remap[e] for e in edges), tag) for tag, edges in merged)
+    return records, loops

@@ -22,7 +22,6 @@ from lmtkauffman.diagram import (
     InvalidDiagramError,
     _reassemble,
     _trusted,
-    faces,
 )
 from lmtkauffman.laurent import LaurentAZ
 
@@ -41,6 +40,29 @@ def distant_union(d1: Diagram, d2: Diagram) -> Diagram:
     shift = 2 * len(d1.crossings)
     shifted = tuple(Crossing(tuple(e + shift for e in c.edges), c.tag) for c in d2.crossings)
     return _trusted(d1.crossings + shifted, d1.free_loops + d2.free_loops)
+
+
+def faces(d: Diagram) -> list[tuple[int, ...]]:
+    """Faces of the diagram as cycles of arrival ends.
+
+    An arrival end is the end 4h + s (slot s of crossing h) an edge runs
+    into; turning right there, the next boundary edge of the same face is
+    the one arriving from slot s - 1.
+    """
+    mate = d._mate
+    seen = [False] * len(mate)
+    out = []
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        face = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            face.append(x)
+            x = mate[x - 1 if x & 3 else x + 3]
+        out.append(tuple(face))
+    return out
 
 
 def invert_a(p: LaurentAZ) -> LaurentAZ:

@@ -373,6 +373,16 @@ def test_verify_random_needs_a_positive_count(capsys):
         assert err == "error: --max-crossings needs K >= 1\n"
 
 
+def test_verify_random_refuses_a_negative_seed(capsys):
+    # random.Random seeds from |S|, so --seed -7 would repeat --seed 7
+    for s in ("-7", "-1"):
+        code, out, err = run(capsys, "--porcelain", "verify", "--random", "2", "--seed", s)
+        assert code == 1 and out == ""
+        assert err == "error: --seed needs S >= 0\n"
+    code, out, _ = run(capsys, "--porcelain", "verify", "--random", "2", "--seed", "0")
+    assert code == 0 and out.endswith("result=pass\n")
+
+
 def test_verify_random_refuses_words_longer_than_the_limit(capsys):
     # one past the limit only: unchecked, a huge K draws the whole word first
     k = str(cli.MAX_RANDOM_CROSSINGS + 1)

@@ -153,13 +153,13 @@ def test_planarity_is_checked_once_per_diagram(monkeypatch, tmp_path, capsys):
     # the constructor that parse_pd calls traces the faces, and no verb
     # traces them again
     calls = []
-    traced = diagram.faces
+    traced = diagram._face_count
 
     def counted(d):
         calls.append(d)
         return traced(d)
 
-    monkeypatch.setattr(diagram, "faces", counted)
+    monkeypatch.setattr(diagram, "_face_count", counted)
     path = tmp_path / "hopf.pd"
     path.write_text(HOPF_POS)
     for verb in ("verify", "compute", "lmt"):
